@@ -235,8 +235,8 @@ class Testbed {
 
   // Declared before the component containers: destroyed after them, so
   // events still queued at teardown (whose callbacks hold pool handles into
-  // component-owned pools) die after the components do — the pools'
-  // refcounted control blocks make that order safe.
+  // component-owned pools) die after the components do — a pool orphans
+  // its live nodes when it dies, which makes that order safe.
   sim::Simulator sim_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<std::unique_ptr<Host>> hosts_;

@@ -1,15 +1,20 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 namespace xgbe::sim {
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
+  // Sifts copy keys, never callbacks: a key must stay a plain 24-byte record.
+  static_assert(std::is_trivially_copyable_v<Entry>);
+  static_assert(sizeof(Entry) <= 24);
   const std::uint64_t seq = next_seq_++;
   const auto pos = static_cast<std::uint32_t>(heap_.size());
   const std::uint32_t h = acquire_handle(pos);
-  heap_.push_back(Entry{at, seq, h, std::move(cb)});
+  callbacks_[h] = std::move(cb);
+  heap_.push_back(Entry{at, seq, h});
   sift_up(heap_.size() - 1);
   return EventId{h, handles_[h].gen};
 }
@@ -18,6 +23,10 @@ void EventQueue::cancel(EventId id) {
   if (id.slot >= handles_.size()) return;
   const HandleRec rec = handles_[id.slot];
   if (rec.gen != id.gen || rec.pos == kFreePos) return;
+  // Take the callback out before touching the heap; it dies at the end of
+  // this call, once the queue is consistent again, so a capture whose
+  // destructor schedules or cancels events sees a well-formed queue.
+  const Callback dead = std::move(callbacks_[id.slot]);
   release_handle(id.slot);
   remove_at(rec.pos);
 }
@@ -29,11 +38,10 @@ SimTime EventQueue::next_time() const {
 
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
-  Entry& root = heap_.front();
-  Fired fired{root.time, std::move(root.cb)};
+  const Entry root = heap_.front();
   release_handle(root.handle);
   remove_at(0);
-  return fired;
+  return Fired{root.time, std::move(callbacks_[root.handle])};
 }
 
 std::uint32_t EventQueue::acquire_handle(std::uint32_t pos) {
@@ -46,6 +54,7 @@ std::uint32_t EventQueue::acquire_handle(std::uint32_t pos) {
   // Generations start at 1 so a default-constructed EventId (gen 0) can
   // never match a live handle.
   handles_.push_back(HandleRec{pos, 1});
+  callbacks_.emplace_back();
   return static_cast<std::uint32_t>(handles_.size() - 1);
 }
 
@@ -58,7 +67,7 @@ void EventQueue::release_handle(std::uint32_t h) {
 void EventQueue::remove_at(std::size_t i) {
   const std::size_t last = heap_.size() - 1;
   if (i != last) {
-    heap_[i] = std::move(heap_[last]);
+    heap_[i] = heap_[last];
     handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
     heap_.pop_back();
     if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity])) {
@@ -72,21 +81,21 @@ void EventQueue::remove_at(std::size_t i) {
 }
 
 void EventQueue::sift_up(std::size_t i) {
-  Entry e = std::move(heap_[i]);
+  const Entry e = heap_[i];
   while (i > 0) {
     const std::size_t p = (i - 1) / kArity;
     if (!before(e, heap_[p])) break;
-    heap_[i] = std::move(heap_[p]);
+    heap_[i] = heap_[p];
     handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
     i = p;
   }
-  heap_[i] = std::move(e);
-  handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+  heap_[i] = e;
+  handles_[e.handle].pos = static_cast<std::uint32_t>(i);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
+  const Entry e = heap_[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
@@ -96,12 +105,12 @@ void EventQueue::sift_down(std::size_t i) {
       if (before(heap_[c], heap_[best])) best = c;
     }
     if (!before(heap_[best], e)) break;
-    heap_[i] = std::move(heap_[best]);
+    heap_[i] = heap_[best];
     handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
     i = best;
   }
-  heap_[i] = std::move(e);
-  handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+  heap_[i] = e;
+  handles_[e.handle].pos = static_cast<std::uint32_t>(i);
 }
 
 }  // namespace xgbe::sim

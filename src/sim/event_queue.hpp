@@ -3,12 +3,14 @@
 // Events are ordered by (time, insertion sequence); the sequence tiebreak
 // makes simulations bit-for-bit reproducible regardless of heap internals.
 //
-// The pending set is an indexed 4-ary min-heap: every live event's heap
-// position is tracked through a handle table, so cancel() removes the entry
-// from the heap in O(log n) instead of deferring to a lazy skip list. Handles
-// are (slot, generation) pairs; firing or cancelling an event bumps the
-// slot's generation, which makes stale EventIds (cancel-after-fire,
-// duplicate cancel) exact no-ops.
+// The pending set is an indexed 4-ary min-heap of slim (time, seq, handle)
+// keys: every live event's heap position is tracked through a handle table,
+// so cancel() removes the entry from the heap in O(log n) instead of
+// deferring to a lazy skip list. Callbacks never move during a sift — they
+// sit in a slab indexed by handle slot, written once by schedule() and moved
+// out once by pop() or cancel(). Handles are (slot, generation) pairs;
+// firing or cancelling an event bumps the slot's generation, which makes
+// stale EventIds (cancel-after-fire, duplicate cancel) exact no-ops.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,9 @@ class EventQueue {
   /// Schedules `cb` at absolute time `at`. Returns a handle for cancel().
   EventId schedule(SimTime at, Callback cb);
 
-  /// Cancels a previously scheduled event. Cancelling an already-fired or
-  /// already-cancelled event is a harmless no-op.
+  /// Cancels a previously scheduled event and destroys its callback (and
+  /// with it every capture) before returning. Cancelling an already-fired
+  /// or already-cancelled event is a harmless no-op.
   void cancel(EventId id);
 
   bool empty() const { return heap_.empty(); }
@@ -59,7 +62,6 @@ class EventQueue {
     SimTime time;
     std::uint64_t seq;  // determinism tiebreak: (time, seq) is a total order
     std::uint32_t handle;
-    Callback cb;
   };
 
   struct HandleRec {
@@ -81,6 +83,7 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   std::vector<HandleRec> handles_;
+  std::vector<Callback> callbacks_;  // slab, indexed like handles_
   std::vector<std::uint32_t> free_handles_;
   std::uint64_t next_seq_ = 1;
 };

@@ -18,9 +18,9 @@
 // Lifetime: handles are refcounted and may outlive the Pool (events still
 // pending in an EventQueue can hold handles while the owning component is
 // torn down first — the queue dies with the Simulator, after the component).
-// The free list lives in a control block that survives until both the Pool
-// and the last handle are gone; nodes released after the Pool's death are
-// simply freed.
+// The Pool registers every node it hands out; its destructor frees the
+// parked ones and orphans the live ones, and an orphan's last handle simply
+// deletes the node.
 #pragma once
 
 #include <cstddef>
@@ -36,36 +36,19 @@ namespace xgbe::sim {
 /// the point: vectors keep capacity) — callers reset the fields they use.
 template <typename T>
 class Pool {
-  struct Shared;
   struct Node {
     T value{};
     std::uint32_t refs = 0;
-    Shared* shared = nullptr;
-  };
-
-  struct Shared {
-    std::vector<Node*> free;
-    std::size_t max_free = 0;
-    std::size_t live = 0;   // nodes currently referenced by handles
-    bool pool_alive = true;
-    // Diagnostics for the pool tests and metrics.
-    std::uint64_t allocated = 0;  // fresh heap nodes
-    std::uint64_t reused = 0;     // acquires served from the free list
+    std::uint32_t index = 0;  // position in owner->nodes_
+    Pool* owner = nullptr;    // null once the Pool is gone
   };
 
   static void release(Node* node) {
     if (node == nullptr || --node->refs != 0) return;
-    Shared* shared = node->shared;
-    --shared->live;
-    if (!shared->pool_alive) {
-      delete node;
-      if (shared->live == 0) delete shared;
-      return;
-    }
-    if (shared->free.size() < shared->max_free) {
-      shared->free.push_back(node);
+    if (node->owner == nullptr) {
+      delete node;  // orphaned by ~Pool: nothing to return it to
     } else {
-      delete node;  // retention cap reached: exhaustion fallback is the heap
+      node->owner->recycle(node);
     }
   }
 
@@ -119,51 +102,74 @@ class Pool {
   /// fine — acquire() falls back to plain heap allocation and release()
   /// frees past the cap, so an exhausted pool degrades to malloc, never
   /// fails.
-  explicit Pool(std::size_t max_free = 256) : shared_(new Shared) {
-    shared_->max_free = max_free;
-  }
+  explicit Pool(std::size_t max_free = 256) : max_free_(max_free) {}
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
   ~Pool() {
-    for (Node* node : shared_->free) delete node;
-    shared_->free.clear();
-    shared_->pool_alive = false;
-    if (shared_->live == 0) delete shared_;
-    // else: the last outstanding Handle deletes the control block.
+    for (Node* node : nodes_) {
+      if (node->refs == 0) {
+        delete node;
+      } else {
+        node->owner = nullptr;  // its last handle deletes it
+      }
+    }
   }
 
   /// Returns a handle to a (possibly recycled) value. The value's previous
   /// contents are preserved on reuse; overwrite what you use.
   Handle acquire() {
     Node* node;
-    if (!shared_->free.empty()) {
-      node = shared_->free.back();
-      shared_->free.pop_back();
-      ++shared_->reused;
+    if (!free_.empty()) {
+      node = free_.back();
+      free_.pop_back();
+      ++reused_;
     } else {
       node = new Node;
-      node->shared = shared_;
-      ++shared_->allocated;
+      node->owner = this;
+      node->index = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(node);
+      ++allocated_;
     }
     node->refs = 1;
-    ++shared_->live;
+    ++live_;
     return Handle(node);
   }
 
   /// Fresh heap nodes ever created (steady state: stops growing).
-  std::uint64_t allocated() const { return shared_->allocated; }
+  std::uint64_t allocated() const { return allocated_; }
   /// Acquires served from the free list.
-  std::uint64_t reused() const { return shared_->reused; }
+  std::uint64_t reused() const { return reused_; }
   /// Nodes currently referenced by live handles.
-  std::size_t live() const { return shared_->live; }
+  std::size_t live() const { return live_; }
   /// Nodes parked on the free list right now.
-  std::size_t free_size() const { return shared_->free.size(); }
-  std::size_t max_free() const { return shared_->max_free; }
+  std::size_t free_size() const { return free_.size(); }
+  std::size_t max_free() const { return max_free_; }
 
  private:
-  Shared* shared_;
+  void recycle(Node* node) {
+    --live_;
+    if (free_.size() < max_free_) {
+      free_.push_back(node);
+      return;
+    }
+    // Retention cap reached: exhaustion fallback is the heap. Unregister
+    // the node (swap-remove) before freeing it.
+    Node* moved = nodes_.back();
+    moved->index = node->index;
+    nodes_[node->index] = moved;
+    nodes_.pop_back();
+    delete node;
+  }
+
+  std::vector<Node*> nodes_;  // every node alive and owned: live or parked
+  std::vector<Node*> free_;
+  std::size_t max_free_;
+  std::size_t live_ = 0;  // nodes currently referenced by handles
+  // Diagnostics for the pool tests and metrics.
+  std::uint64_t allocated_ = 0;  // fresh heap nodes
+  std::uint64_t reused_ = 0;     // acquires served from the free list
 };
 
 }  // namespace xgbe::sim

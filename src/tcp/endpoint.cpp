@@ -130,6 +130,7 @@ void Endpoint::enter_closed(CloseReason reason) {
   // queue, so clearing here is safe even mid-write.
   unsent_.clear();
   retx_q_.clear();
+  retx_packets_ = 0;
   pending_writes_.clear();
   txbuf_.release(txbuf_.wmem_alloc());
   if (close_hook_) close_hook_();
@@ -371,6 +372,7 @@ void Endpoint::on_persist_timeout() {
   send_segment(probe, /*retransmission=*/false);
   snd_nxt_ += 1;
   retx_q_.push_back(probe);
+  retx_packets_ += probe.packets;
   ++stats_.window_probes;
   ++persist_backoff_;
   arm_persist_timer();
@@ -520,12 +522,6 @@ void Endpoint::enqueue_record(std::uint32_t bytes) {
 
 // --- Sender -----------------------------------------------------------------
 
-std::uint32_t Endpoint::flight_packets() const {
-  std::uint32_t n = 0;
-  for (const auto& seg : retx_q_) n += seg.packets;
-  return n;
-}
-
 void Endpoint::try_send() {
   if (!can_carry_data()) return;
   while (!unsent_.empty()) {
@@ -571,6 +567,7 @@ void Endpoint::try_send() {
     send_segment(seg, /*retransmission=*/false);
     snd_nxt_ += seg.len;
     retx_q_.push_back(seg);
+    retx_packets_ += seg.packets;
     unsent_.pop_front();
   }
   maybe_send_fin();
@@ -726,6 +723,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
         rtt_.sample(sim_.now() - seg.first_sent);
         rtt_sampled = true;
       }
+      retx_packets_ -= seg.packets;
       retx_q_.pop_front();
     }
     // Byte-granular ACK landing inside a (TSO super-)segment: trim the
@@ -740,6 +738,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
       f.packets = (f.len + snd_mss_payload_ - 1) / snd_mss_payload_;
       f.truesize = record_truesize(f.len);
       acked_segments += old_packets - f.packets;
+      retx_packets_ -= old_packets - f.packets;
       freed_truesize += old_truesize > f.truesize
                             ? old_truesize - f.truesize
                             : 0;
@@ -1030,6 +1029,14 @@ void Endpoint::maybe_window_update() {
 // --- Invariants -------------------------------------------------------------
 
 std::string Endpoint::invariant_violation() const {
+  // The running packets-in-flight count must equal the queue it summarizes,
+  // in every state (enter_closed() zeroes both).
+  std::uint32_t queued_packets = 0;
+  for (const TxSegment& seg : retx_q_) queued_packets += seg.packets;
+  if (queued_packets != retx_packets_) {
+    return "packets in flight " + std::to_string(retx_packets_) +
+           " != retransmission queue sum " + std::to_string(queued_packets);
+  }
   // Pre-sequence-space states have nothing to check yet.
   if (state_ == TcpState::kClosed || state_ == TcpState::kListen ||
       state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {

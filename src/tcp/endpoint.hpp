@@ -289,7 +289,7 @@ class Endpoint {
   void try_send();
   void send_segment(TxSegment& seg, bool retransmission);
   void retransmit_head();
-  std::uint32_t flight_packets() const;
+  std::uint32_t flight_packets() const { return retx_packets_; }
   void arm_rto();
   void cancel_rto();
   void on_rto();
@@ -350,6 +350,9 @@ class Endpoint {
   bool cwr_pending_ = false;  // set CWR on the next outgoing data segment
   std::deque<TxSegment> unsent_;
   std::deque<TxSegment> retx_q_;
+  // Sum of retx_q_[i].packets, kept at every queue mutation so the send
+  // loop's window check is O(1); invariant_violation() recomputes it.
+  std::uint32_t retx_packets_ = 0;
   os::TxSocketBuffer txbuf_;
   std::uint32_t dupacks_ = 0;
   net::Seq recover_ = 0;

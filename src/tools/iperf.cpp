@@ -27,7 +27,11 @@ IperfResult run_iperf(core::Testbed& tb, core::Testbed::Connection& conn,
   auto writer = std::make_shared<std::function<void()>>();
   *writer = [st, writer, &conn, &options]() {
     if (!st->running) return;
-    conn.client->app_send(options.write_size, [writer]() { (*writer)(); });
+    // The last write is usually still waiting for socket-buffer space when
+    // the run ends and the writer is emptied; its admission is then a no-op.
+    conn.client->app_send(options.write_size, [writer]() {
+      if (*writer) (*writer)();
+    });
   };
   (*writer)();
 

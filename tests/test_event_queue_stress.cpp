@@ -2,13 +2,19 @@
 // reference implementation (a flat vector scanned for the minimum), driven
 // by seeded schedule/cancel/pop interleavings. Covers the hazards the heap's
 // handle table must get right: cancel-after-fire, duplicate cancels, and
-// slot reuse aliasing.
+// slot reuse aliasing. Further tests pin the callback slab's ownership:
+// captures die at cancel time, survive slab growth mid-fire, and die with
+// the queue.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/pool.hpp"
 #include "sim/random.hpp"
 
 namespace xgbe::sim {
@@ -119,6 +125,100 @@ TEST(EventQueueStress, StaleCancelsNeverKillNewTenants) {
   EXPECT_EQ(q.size(), 100u);
   while (!q.empty()) q.pop().cb();
   EXPECT_EQ(fired, 200);
+}
+
+// Cancelling an event destroys its callback right away. Components rely on
+// this to drop pooled records and shared state the moment a timer dies,
+// not whenever the handle slot happens to be reused.
+TEST(EventQueueStress, CancelReleasesCapturesAtCancelTime) {
+  EventQueue q;
+  Pool<int> pool;
+  auto shared = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = shared;
+  const EventId id =
+      q.schedule(10, [shared, rec = pool.acquire()] { (void)*rec; });
+  shared.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(pool.live(), 1u);
+
+  q.cancel(id);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+// A capture whose destructor schedules into the queue runs while cancel()
+// is releasing it; it must find a consistent queue and its event must fire.
+TEST(EventQueueStress, CaptureDestructorMayScheduleDuringCancel) {
+  EventQueue q;
+  int fired = 0;
+  struct OnDestroy {
+    EventQueue* q;
+    int* fired;
+    bool armed = true;
+    OnDestroy(EventQueue* queue, int* count) : q(queue), fired(count) {}
+    OnDestroy(OnDestroy&& o) noexcept : q(o.q), fired(o.fired) {
+      o.armed = false;
+    }
+    ~OnDestroy() {
+      if (armed) q->schedule(5, [f = fired] { ++*f; });
+    }
+  };
+  for (int i = 0; i < 8; ++i) q.schedule(20 + i, [&fired] { ++fired; });
+  const EventId id = q.schedule(1, [guard = OnDestroy(&q, &fired)] {});
+  q.cancel(id);
+  ASSERT_EQ(q.size(), 9u);
+  EXPECT_EQ(q.next_time(), 5);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, 9);
+}
+
+// A firing callback has already left the slab, so it may schedule enough
+// events to reallocate the slab many times over while it runs.
+TEST(EventQueueStress, FiringCallbackCanGrowTheSlab) {
+  EventQueue q;
+  std::vector<int> order;
+  auto tag = std::make_shared<int>(-1);
+  q.schedule(0, [&q, &order, tag] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule(1 + i % 7, [&order, i] { order.push_back(i); });
+    }
+    order.push_back(*tag);  // own captures intact after the growth
+  });
+  while (!q.empty()) q.pop().cb();
+
+  ASSERT_EQ(order.size(), 1001u);
+  EXPECT_EQ(order[0], -1);
+  // Children fire by time, then by scheduling order.
+  std::vector<int> expect;
+  for (int t = 1; t <= 7; ++t) {
+    for (int i = 0; i < 1000; ++i) {
+      if (1 + i % 7 == t) expect.push_back(i);
+    }
+  }
+  EXPECT_EQ(std::vector<int>(order.begin() + 1, order.end()), expect);
+}
+
+// Pending callbacks are owned by the queue: destroying it frees every
+// capture, inline or heap-allocated, with nothing fired.
+TEST(EventQueueStress, DestroyingQueueFreesPendingCaptures) {
+  auto shared = std::make_shared<int>(0);
+  Pool<int> pool;
+  {
+    EventQueue q;
+    for (int i = 0; i < 64; ++i) {
+      std::array<char, 128> big{};  // too large for the inline buffer
+      q.schedule(i, [shared, big] { ++*shared; (void)big; });
+      q.schedule(i, [shared, rec = pool.acquire()] { ++*shared; });
+    }
+    for (int i = 0; i < 10; ++i) q.pop().cb();
+    EXPECT_EQ(*shared, 10);
+    EXPECT_EQ(shared.use_count(), 1 + 118);
+    EXPECT_EQ(pool.live(), 59u);
+  }
+  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(*shared, 10);
 }
 
 }  // namespace

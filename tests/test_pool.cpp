@@ -5,10 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/pool.hpp"
 
 namespace {
 
+using xgbe::sim::EventQueue;
 using xgbe::sim::Pool;
 
 TEST(Pool, ReusesReleasedNodes) {
@@ -79,8 +81,8 @@ TEST(Pool, CopiedHandlesShareOneNode) {
 
 TEST(Pool, HandleOutlivesPool) {
   // Events queued at teardown can hold handles after the owning component
-  // (and its pool) died; the control block must survive until the last
-  // handle releases. ASan verifies nothing leaks on either path.
+  // (and its pool) died; the node must survive until its last handle
+  // releases. ASan verifies nothing leaks on either path.
   Pool<int>::Handle survivor;
   {
     Pool<int> pool;
@@ -89,7 +91,34 @@ TEST(Pool, HandleOutlivesPool) {
     auto transient = pool.acquire();
   }
   EXPECT_EQ(*survivor, 13) << "value must stay valid past the pool";
-  survivor.reset();  // releases the node and the control block
+  survivor.reset();  // frees the orphaned node
+}
+
+TEST(Pool, PendingEventsOutliveTheirPool) {
+  // The teardown order the simulator really has: a component's pool dies
+  // while its events are still pending in the queue. Those events may
+  // still fire, be cancelled, or die with the queue; ASan checks that each
+  // path frees its node exactly once. A retention cap below the live count
+  // puts both parked and orphaned nodes in play.
+  EventQueue q;
+  int sum = 0;
+  std::vector<xgbe::sim::EventId> ids;
+  {
+    Pool<int> pool(/*max_free=*/2);
+    for (int i = 0; i < 8; ++i) {
+      auto h = pool.acquire();
+      *h = i;
+      ids.push_back(q.schedule(i, [&sum, h] { sum += *h; }));
+    }
+    q.pop().cb();  // fired while the pool lives: the node is parked
+    EXPECT_EQ(pool.free_size(), 1u);
+    EXPECT_EQ(pool.live(), 7u);
+  }
+  q.cancel(ids[1]);
+  q.pop().cb();
+  q.pop().cb();
+  EXPECT_EQ(sum, 0 + 2 + 3);
+  EXPECT_EQ(q.size(), 4u);  // the rest die with the queue
 }
 
 TEST(Pool, ResetIsIdempotentAndNullHandleSafe) {

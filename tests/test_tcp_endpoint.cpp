@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/testbed.hpp"
+#include "obs/trace.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -14,12 +17,13 @@ struct Pair {
   core::Testbed tb;
   core::Host* a = nullptr;
   core::Host* b = nullptr;
+  link::Link* wire = nullptr;
 
   explicit Pair(const core::TuningProfile& tuning,
-                const link::LinkSpec& wire = link::LinkSpec{}) {
+                const link::LinkSpec& spec = link::LinkSpec{}) {
     a = &tb.add_host("a", hw::presets::pe2650(), tuning);
     b = &tb.add_host("b", hw::presets::pe2650(), tuning);
-    tb.connect(*a, *b, wire);
+    wire = &tb.connect(*a, *b, spec);
   }
 };
 
@@ -251,6 +255,107 @@ TEST(Tso, OffloadReducesSenderSegmentWork) {
   // transmitting systems, and in many cases, will increase throughput").
   EXPECT_LT(with.sender_load, without.sender_load);
   EXPECT_GE(with.throughput_bps, without.throughput_bps * 0.95);
+}
+
+// The sender keeps a running packets-in-flight count beside its
+// retransmission queue, and invariant_violation() recomputes it from the
+// queue. Walk one TSO connection through every path that edits the queue
+// -- byte-granular partial-ACK trims, a zero-window probe, fast
+// retransmit, RTO and abort() -- checking the invariants between events
+// every 200 us of simulated time, and pin the congestion window the count
+// feeds.
+TEST(FlightCount, TracksTheRetransmissionQueueThroughEveryPath) {
+  core::TuningProfile tuning = core::TuningProfile::lan_tuned(9000);
+  tuning.tso = true;
+  Pair p(tuning);
+  auto ca = p.a->endpoint_config();
+  ca.push_per_write = false;
+  auto conn = p.tb.open_connection(*p.a, *p.b, ca, p.b->endpoint_config());
+  ASSERT_TRUE(p.tb.run_until_established(conn));
+  tcp::Endpoint& tx = *conn.client;
+  const std::uint32_t mss = tx.mss_payload();
+
+  // Partial-ACK detector: an ACK landing strictly inside a TSO
+  // super-segment makes the sender trim the queue head.
+  std::vector<std::pair<net::Seq, net::Seq>> super_segments;
+  obs::TraceSink sink;
+  sink.on_record = [&](const obs::TraceEvent& ev) {
+    if (ev.type == obs::EventType::kSegTx && ev.len > mss) {
+      super_segments.emplace_back(ev.seq, ev.seq + ev.len);
+    }
+  };
+  tx.set_trace(&sink);
+  int partial_acks = 0;
+  p.wire->tap = [&](const net::Packet& pkt, bool from_a) {
+    if (from_a || !pkt.tcp.flags.ack) return;
+    for (const auto& [begin, end] : super_segments) {
+      if (net::seq_gt(pkt.tcp.ack, begin) && net::seq_lt(pkt.tcp.ack, end)) {
+        ++partial_acks;
+        break;
+      }
+    }
+  };
+
+  // Runs in short slices, checking both ends between events.
+  auto run_checked = [&](sim::SimTime duration) {
+    const sim::SimTime end = p.tb.now() + duration;
+    while (p.tb.now() < end) {
+      p.tb.run_for(sim::usec(200));
+      ASSERT_EQ(tx.invariant_violation(), "");
+      ASSERT_EQ(conn.server->invariant_violation(), "");
+    }
+  };
+  std::vector<std::uint32_t> cwnd_after_step;
+
+  // 1. TSO super-segments, acknowledged mid-segment.
+  for (int i = 0; i < 40; ++i) tx.app_send(32768, nullptr);
+  run_checked(sim::msec(20));
+  EXPECT_GT(partial_acks, 0);
+  cwnd_after_step.push_back(tx.cwnd_segments());
+
+  // 2. The reader stops, the window closes, the sender probes it.
+  conn.server->set_app_reader(false);
+  for (int i = 0; i < 40; ++i) tx.app_send(32768, nullptr);
+  run_checked(sim::sec(1));
+  EXPECT_GT(tx.stats().window_probes, 0u);
+  conn.server->set_app_reader(true);
+  run_checked(sim::msec(50));
+  EXPECT_EQ(tx.stats().bytes_acked, 80u * 32768u);
+  cwnd_after_step.push_back(tx.cwnd_segments());
+
+  // 3. One data frame lost in a deep pipeline: fast retransmit.
+  for (int i = 0; i < 40; ++i) tx.app_send(32768, nullptr);
+  run_checked(sim::usec(400));
+  p.wire->fault_injector(true).inject_drops(1);
+  run_checked(sim::msec(50));
+  EXPECT_EQ(tx.stats().fast_retransmits, 1u);
+  EXPECT_EQ(tx.stats().bytes_acked, 120u * 32768u);
+  cwnd_after_step.push_back(tx.cwnd_segments());
+
+  // 4. Every ACK lost for a while: the retransmission timer fires.
+  fault::FaultPlan blackout;
+  blackout.flaps.push_back(
+      fault::LinkFlap{p.tb.now(), p.tb.now() + sim::msec(500)});
+  p.wire->set_fault_plan(blackout, /*from_a=*/false);
+  for (int i = 0; i < 8; ++i) tx.app_send(32768, nullptr);
+  run_checked(sim::sec(2));
+  EXPECT_GT(tx.stats().timeouts, 0u);
+  EXPECT_EQ(tx.stats().bytes_acked, 128u * 32768u);
+  cwnd_after_step.push_back(tx.cwnd_segments());
+
+  // 5. abort() with data in flight empties the queue and the count.
+  for (int i = 0; i < 8; ++i) tx.app_send(32768, nullptr);
+  run_checked(sim::usec(200));
+  ASSERT_GT(tx.unacked_segments(), 0u);
+  tx.abort();
+  EXPECT_TRUE(tx.closed());
+  EXPECT_EQ(tx.unacked_segments(), 0u);
+  EXPECT_EQ(tx.invariant_violation(), "");
+  run_checked(sim::msec(10));
+  tx.set_trace(nullptr);
+  p.wire->tap = nullptr;
+
+  EXPECT_EQ(cwnd_after_step, (std::vector<std::uint32_t>{162, 324, 17, 5}));
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalResults) {

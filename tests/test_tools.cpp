@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hpp"
+#include "tools/drop_report.hpp"
+#include "tools/iperf.hpp"
 #include "tools/magnet.hpp"
 #include "tools/netpipe.hpp"
 #include "tools/nttcp.hpp"
@@ -78,6 +80,36 @@ TEST(Magnet, SamplingOffByDefault) {
   ASSERT_TRUE(tools::run_nttcp(tb, conn, *a, *b, opt).completed);
   b->packet_tap = nullptr;
   EXPECT_EQ(traced, 0u);
+}
+
+// run_iperf stops its writer when the measurement window closes, while the
+// writer's last write is typically still blocked on socket-buffer space.
+// Running the testbed on must admit that write harmlessly and let the
+// network drain to a conserved frame ledger.
+TEST(Iperf, TestbedDrainsAfterRun) {
+  core::Testbed tb;
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn = tb.open_connection(a, b, tools::iperf_config(a.endpoint_config()),
+                                 b.endpoint_config());
+  tools::IperfOptions opt;
+  opt.warmup = sim::msec(2);
+  opt.duration = sim::msec(10);
+  const auto r = tools::run_iperf(tb, conn, a, b, opt);
+  ASSERT_TRUE(r.completed);
+  ASSERT_GT(r.bytes, 0u);
+
+  ASSERT_NO_THROW(tb.run_for(sim::sec(2)));
+  const auto& tx = conn.client->stats();
+  EXPECT_EQ(tx.bytes_acked, tx.bytes_sent);
+  EXPECT_EQ(conn.server->stats().bytes_consumed, tx.bytes_sent);
+  EXPECT_EQ(conn.client->invariant_violation(), "");
+  tools::DropReport ledger;
+  ledger.add_testbed(tb);
+  EXPECT_GT(ledger.delivered, 0u);
+  EXPECT_TRUE(ledger.conserved()) << ledger.render();
 }
 
 TEST(FutureOffload, HeaderSplittingCutsCpuLoad) {
