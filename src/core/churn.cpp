@@ -23,6 +23,16 @@ struct Conn {
 };
 
 struct Driver {
+  Driver(Testbed& testbed, Host& c, Host& s, const Options& o, Result& r)
+      : bed(testbed),
+        client(c),
+        server(s),
+        opt(o),
+        res(r),
+        sim(testbed.simulator_for(c)),
+        rng(o.seed),
+        client_cfg(c.endpoint_config()) {}
+
   Testbed& bed;
   Host& client;
   Host& server;
@@ -181,8 +191,7 @@ Result run(Testbed& bed, Host& client, Host& server, const Options& opt,
   // endpoints' callbacks, Result tallies) happens on the client's shard, so
   // the driver schedules on that shard's simulator. Listener work stays on
   // the server's shard, reached only through the wire.
-  Driver d{bed,       client, server, opt, res, bed.simulator_for(client),
-           sim::Rng(opt.seed), client.endpoint_config()};
+  Driver d(bed, client, server, opt, res);
   d.pump_arrivals();
 
   // Expected span of the arrival process plus the drain grace; everything

@@ -1,6 +1,7 @@
 #include "core/fleet.hpp"
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "tcp/endpoint.hpp"
@@ -116,14 +117,20 @@ Result run_incast(Fabric& fabric, const Options& opt) {
 Result run_all_to_all(Fabric& fabric, const Options& opt) {
   Testbed& tb = fabric.testbed();
   const std::size_t n = fabric.host_count();
-  // Round r: host i streams to host (i + r + 1) % n — a rotating
+  if (n < 2) {
+    throw std::invalid_argument("all-to-all needs at least two hosts");
+  }
+  // Round r: host i streams to host (i + (r mod (n-1)) + 1) % n — a rotating
   // derangement, so every round loads every host symmetrically and over the
-  // rounds every trunk bundle sees traffic. One connection per (i, r).
+  // rounds every trunk bundle sees traffic. The offset cycles through
+  // 1..n-1 and never reaches n, so no host streams to itself however many
+  // rounds run. One connection per (i, r).
   std::vector<Flow> flows;
   for (std::size_t r = 0; r < opt.a2a_rounds; ++r) {
+    const std::size_t offset = r % (n - 1) + 1;
     for (std::size_t i = 0; i < n; ++i) {
       Host& src = fabric.host_flat(i);
-      Host& dst = fabric.host_flat((i + r + 1) % n);
+      Host& dst = fabric.host_flat((i + offset) % n);
       Flow f;
       f.sender = &src;
       f.conn = tb.open_connection(src, dst, src.endpoint_config(),

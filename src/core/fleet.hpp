@@ -49,6 +49,9 @@ struct Options {
 
   // --- kAllToAll -------------------------------------------------------------
   std::uint32_t a2a_bytes = 16 * 1024;
+  /// Any count: the peer offset cycles through 1..hosts-1, so rounds past
+  /// the host count repeat pairings, never self-connections. The fabric
+  /// needs at least two hosts (run() throws std::invalid_argument).
   std::size_t a2a_rounds = 2;
 
   // --- kRpcChurn -------------------------------------------------------------

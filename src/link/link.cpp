@@ -31,6 +31,8 @@ Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name)
       script_(legacy_plan(spec)) {
   ab_.script = &script_;
   ba_.script = &script_;
+  ab_.delivery_lane = simulator.open_lane();
+  ba_.delivery_lane = simulator.open_lane();
 }
 
 Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
@@ -119,8 +121,8 @@ void Link::Channel::commit_entry(std::size_t index) {
   auto rec = pool_.acquire();
   rec->pkt = entries_[index].pkt;
   rec->sink = sink;
-  dst_->schedule_at(entries_[index].at,
-                    [rec]() { rec->sink->deliver(rec->pkt); });
+  dst_->schedule_in_lane(lane_, entries_[index].at,
+                         [rec]() { rec->sink->deliver(rec->pkt); });
 }
 
 void Link::transmit(const NetDevice* from, const net::Packet& pkt,
@@ -234,13 +236,15 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
       auto rec = dir.delivery_pool.acquire();
       rec->pkt = out;
       rec->sink = sink;
-      sim.schedule_at(arrival, [rec]() { rec->sink->deliver(rec->pkt); });
+      sim.schedule_in_lane(dir.delivery_lane, arrival,
+                           [rec]() { rec->sink->deliver(rec->pkt); });
       if (verdict.duplicate) {
         auto dup = dir.delivery_pool.acquire();
         dup->pkt = out;
         dup->sink = sink;
-        sim.schedule_at(arrival + verdict.duplicate_delay,
-                        [dup]() { dup->sink->deliver(dup->pkt); });
+        sim.schedule_in_lane(dir.delivery_lane,
+                             arrival + verdict.duplicate_delay,
+                             [dup]() { dup->sink->deliver(dup->pkt); });
       }
     }
   }

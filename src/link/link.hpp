@@ -59,8 +59,8 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///
 /// Two construction modes:
 ///  - Classic: both directions schedule on one Simulator and deliver frames
-///    by scheduling directly into it — the original single-threaded path,
-///    byte-identical to its pre-sharding behavior.
+///    through one event lane per direction on it — the original
+///    single-threaded path, byte-identical to its pre-sharding behavior.
 ///  - Sharded: each direction lives on its transmitter's shard; deliveries
 ///    (including same-shard ones, so results cannot depend on the partition)
 ///    are buffered in per-direction exchange channels that the engine
@@ -225,7 +225,10 @@ class Link {
     fault::FaultInjector own_script;
     obs::TraceSink* trace = nullptr;
     bool use_channel = false;
-    // Classic-mode pools (sharded deliveries use the channel's pool).
+    // Classic-mode deliveries: the lane (arrivals leave the pipe in order
+    // and share one propagation delay) and the pools. Sharded deliveries
+    // use the channel's lane and pool.
+    sim::LaneId delivery_lane = 0;
     sim::Pool<DeliveryRec> delivery_pool;
     sim::Pool<sim::InlineCallback> cont_pool;
   };
@@ -242,6 +245,7 @@ class Link {
       link_ = link;
       forward_ = forward;
       dst_ = dst;
+      lane_ = dst->open_lane();
     }
     void push(sim::SimTime at, const net::Packet& pkt) {
       entries_.push_back({at, pkt});
@@ -262,6 +266,7 @@ class Link {
     Link* link_ = nullptr;
     bool forward_ = true;
     sim::Simulator* dst_ = nullptr;
+    sim::LaneId lane_ = 0;  // on dst_; commits arrive in time order
     std::vector<Pending> entries_;
     sim::Pool<DeliveryRec> pool_;
   };

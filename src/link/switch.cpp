@@ -226,11 +226,17 @@ void EthernetSwitch::on_frame(int /*ingress*/, const net::Packet& pkt) {
       sim::transfer_time(frame.frame_bytes, spec_.backplane_bps);
   backplane_.submit(fabric_time);
   const sim::SimTime cross = spec_.fabric_latency + fabric_time;
-  sim_.schedule(cross + verdict.extra_delay,
-                [this, egress, frame]() { egress_frame(egress, frame); });
+  // The frame rides in a pooled record: a closure carrying the Packet
+  // itself would overflow the inline buffer and allocate on every hop.
+  auto rec = hop_pool_.acquire();
+  rec->pkt = frame;
+  rec->egress = egress;
+  auto hop = [this, rec]() { egress_frame(rec->egress, rec->pkt); };
+  static_assert(sim::InlineCallback::fits_inline<decltype(hop)>());
+  sim_.schedule(cross + verdict.extra_delay, hop);
   if (verdict.duplicate) {
     sim_.schedule(cross + verdict.extra_delay + verdict.duplicate_delay,
-                  [this, egress, frame]() { egress_frame(egress, frame); });
+                  std::move(hop));
   }
 }
 

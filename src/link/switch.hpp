@@ -10,6 +10,7 @@
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
+#include "sim/pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -145,6 +146,11 @@ class EthernetSwitch {
 
  private:
   class Port;
+  /// A frame crossing the fabric toward its egress port.
+  struct HopRec {
+    net::Packet pkt;
+    int egress = 0;
+  };
   /// One forwarding entry: a single port or an ECMP group.
   struct Route {
     std::vector<int> ports;
@@ -157,6 +163,7 @@ class EthernetSwitch {
   SwitchSpec spec_;
   std::string name_;
   sim::Resource backplane_;
+  sim::Pool<HopRec> hop_pool_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<net::NodeId, Route> fdb_;
   fault::FaultInjector fault_;

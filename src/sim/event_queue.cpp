@@ -11,12 +11,34 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   static_assert(std::is_trivially_copyable_v<Entry>);
   static_assert(sizeof(Entry) <= 24);
   const std::uint64_t seq = next_seq_++;
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  const std::uint32_t h = acquire_handle(pos);
+  const std::uint32_t h = acquire_handle();
   callbacks_[h] = std::move(cb);
-  heap_.push_back(Entry{at, seq, h});
-  sift_up(heap_.size() - 1);
+  push_heap(Entry{at, seq, h, kNoLane});
   return EventId{h, handles_[h].gen};
+}
+
+LaneId EventQueue::open_lane() {
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void EventQueue::schedule_in_lane(LaneId id, SimTime at, Callback cb) {
+  const std::uint64_t seq = next_seq_++;
+  const std::uint32_t h = acquire_handle();
+  callbacks_[h] = std::move(cb);
+  Lane& lane = lanes_[id];
+  if (!lane.armed) {
+    lane.armed = true;
+    lane.tail = at;
+    push_heap(Entry{at, seq, h, id});
+  } else if (at >= lane.tail) {
+    lane.tail = at;
+    enqueue(lane, Entry{at, seq, h, id});
+  } else {
+    // Earlier than the lane's tail (a fault delay, a duplicate copy): the
+    // FIFO would misorder it, so it waits in the heap like any event.
+    push_heap(Entry{at, seq, h, kNoLane});
+  }
 }
 
 void EventQueue::cancel(EventId id) {
@@ -40,20 +62,35 @@ EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
   const Entry root = heap_.front();
   release_handle(root.handle);
-  remove_at(0);
+  if (root.lane == kNoLane) {
+    remove_at(0);
+  } else {
+    Lane& lane = lanes_[root.lane];
+    if (lane.queued != 0) {
+      // The lane's next key replaces the root: one sift, no push.
+      heap_.front() = lane.ring[lane.first];
+      lane.first = (lane.first + 1) &
+                   static_cast<std::uint32_t>(lane.ring.size() - 1);
+      --lane.queued;
+      sift_down(0);
+    } else {
+      lane.armed = false;
+      remove_at(0);
+    }
+  }
   return Fired{root.time, std::move(callbacks_[root.handle])};
 }
 
-std::uint32_t EventQueue::acquire_handle(std::uint32_t pos) {
+std::uint32_t EventQueue::acquire_handle() {
+  // The slot's position is set when its key enters the heap.
   if (!free_handles_.empty()) {
     const std::uint32_t h = free_handles_.back();
     free_handles_.pop_back();
-    handles_[h].pos = pos;
     return h;
   }
   // Generations start at 1 so a default-constructed EventId (gen 0) can
   // never match a live handle.
-  handles_.push_back(HandleRec{pos, 1});
+  handles_.push_back(HandleRec{kFreePos, 1});
   callbacks_.emplace_back();
   return static_cast<std::uint32_t>(handles_.size() - 1);
 }
@@ -62,6 +99,27 @@ void EventQueue::release_handle(std::uint32_t h) {
   handles_[h].pos = kFreePos;
   ++handles_[h].gen;  // invalidates every outstanding EventId for this slot
   free_handles_.push_back(h);
+}
+
+void EventQueue::push_heap(const Entry& e) {
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1);
+}
+
+void EventQueue::enqueue(Lane& lane, const Entry& e) {
+  const auto cap = static_cast<std::uint32_t>(lane.ring.size());
+  if (lane.queued == cap) {
+    // Full (or never used): double the ring, unrolled to start at 0.
+    std::vector<Entry> grown(cap == 0 ? 8 : 2 * cap);
+    for (std::uint32_t i = 0; i < lane.queued; ++i) {
+      grown[i] = lane.ring[(lane.first + i) & (cap - 1)];
+    }
+    lane.ring.swap(grown);
+    lane.first = 0;
+  }
+  const auto mask = static_cast<std::uint32_t>(lane.ring.size() - 1);
+  lane.ring[(lane.first + lane.queued) & mask] = e;
+  ++lane.queued;
 }
 
 void EventQueue::remove_at(std::size_t i) {

@@ -11,7 +11,7 @@ SimTime Resource::submit(SimTime cost, InlineCallback done) {
   ++jobs_;
   // Always schedule the completion event (even without a callback) so the
   // simulation clock covers all resource activity.
-  sim_.schedule_at(finish, std::move(done));
+  sim_.schedule_in_lane(lane_, finish, std::move(done));
   return finish;
 }
 

@@ -20,7 +20,9 @@ namespace xgbe::sim {
 class Resource {
  public:
   Resource(Simulator& simulator, std::string name)
-      : sim_(simulator), name_(std::move(name)) {}
+      : sim_(simulator),
+        name_(std::move(name)),
+        lane_(simulator.open_lane()) {}
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
@@ -54,6 +56,7 @@ class Resource {
  private:
   Simulator& sim_;
   std::string name_;
+  LaneId lane_;  // completions are FIFO: each one ends at or after the last
   SimTime busy_until_ = 0;
   SimTime busy_accum_ = 0;
   SimTime window_start_ = 0;

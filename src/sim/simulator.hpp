@@ -57,6 +57,16 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Opens a FIFO lane on this simulator's queue (EventQueue::open_lane).
+  LaneId open_lane() { return queue_.open_lane(); }
+
+  /// Schedules `cb` at `at` (clamped to `now()`) on `lane`. Fires exactly
+  /// where schedule_at would; cannot be cancelled. Meant for sources whose
+  /// times rarely decrease — a late event falls back to a heap entry.
+  void schedule_in_lane(LaneId lane, SimTime at, EventQueue::Callback cb) {
+    queue_.schedule_in_lane(lane, at < now_ ? now_ : at, std::move(cb));
+  }
+
   /// Runs until the event set drains or stop() is called.
   void run() { run_until(std::numeric_limits<SimTime>::max()); }
 

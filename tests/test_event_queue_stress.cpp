@@ -2,11 +2,13 @@
 // reference implementation (a flat vector scanned for the minimum), driven
 // by seeded schedule/cancel/pop interleavings. Covers the hazards the heap's
 // handle table must get right: cancel-after-fire, duplicate cancels, and
-// slot reuse aliasing. Further tests pin the callback slab's ownership:
-// captures die at cancel time, survive slab growth mid-fire, and die with
-// the queue.
+// slot reuse aliasing. The same reference checks FIFO lanes mixed with
+// ordinary events, out-of-order lane pushes included. Further tests pin the
+// callback slab's ownership: captures die at cancel time, survive slab
+// growth mid-fire, and die with the queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -101,6 +103,145 @@ TEST(EventQueueStress, MatchesNaiveReference) {
     }
     EXPECT_EQ(ref_live(ref), 0u);
   }
+}
+
+// Lanes against the same reference: ordinary events, cancels, and events
+// on four lanes. Most lane pushes are in order (often at equal times, so
+// ties cross lanes and the heap); some land before their lane's tail and
+// must take the ordinary-entry fallback; some lane callbacks schedule into
+// their own lane as they fire, as a resource's completion starts its next
+// job. Pop order must be exactly the (time, seq) order.
+struct LaneHarness {
+  explicit LaneHarness(std::uint64_t seed) : rng(seed) {
+    for (int i = 0; i < 4; ++i) lanes.push_back({q.open_lane(), 0});
+  }
+
+  struct LaneState {
+    LaneId id;
+    SimTime tail;  // newest time pushed; later pushes before it fall back
+  };
+
+  SimTime step() { return 8 * static_cast<SimTime>(rng.next_below(3)); }
+
+  void ordinary(SimTime t) {
+    const std::uint64_t tag = ref.size();
+    ids.push_back(q.schedule(t, [this, tag] { last_fired = tag; }));
+    ref.push_back({t, tag, true});
+  }
+
+  void in_lane(std::size_t k, SimTime t) {
+    const std::uint64_t tag = ref.size();
+    ids.push_back(EventId{});  // lane events are not cancellable
+    ref.push_back({t, tag, true});
+    const bool chain = rng.next_below(4) == 0;
+    q.schedule_in_lane(lanes[k].id, t, [this, tag, k, chain] {
+      last_fired = tag;
+      if (chain) in_lane(k, std::max(lanes[k].tail, now) + step());
+    });
+    lanes[k].tail = std::max(lanes[k].tail, t);
+    ++lane_pushes;
+  }
+
+  EventQueue q;
+  Rng rng;
+  std::vector<LaneState> lanes;
+  std::vector<RefEvent> ref;
+  std::vector<EventId> ids;
+  SimTime now = 0;
+  std::uint64_t last_fired = ~0ull;
+  std::uint64_t lane_pushes = 0;
+};
+
+TEST(EventQueueStress, LanesMatchNaiveReference) {
+  for (std::uint64_t seed : {3ull, 99ull, 2024ull}) {
+    SCOPED_TRACE(seed);
+    LaneHarness h(seed);
+    std::uint64_t fallbacks = 0;
+
+    const auto pop_one = [&h] {
+      const std::size_t expect = ref_min(h.ref);
+      ASSERT_LT(expect, h.ref.size());
+      ASSERT_FALSE(h.q.empty());
+      auto fired = h.q.pop();
+      ASSERT_EQ(fired.time, h.ref[expect].time);
+      ASSERT_GE(fired.time, h.now);
+      h.now = fired.time;
+      h.last_fired = ~0ull;
+      fired.cb();
+      ASSERT_EQ(h.last_fired, h.ref[expect].tag);
+      h.ref[expect].live = false;
+    };
+
+    for (int step = 0; step < 10000; ++step) {
+      const std::uint64_t roll = h.rng.next_below(100);
+      const std::size_t k = h.rng.next_below(h.lanes.size());
+      if (roll < 20) {
+        h.ordinary(h.now + 8 * static_cast<SimTime>(h.rng.next_below(16)));
+      } else if (roll < 45) {
+        h.in_lane(k, std::max(h.lanes[k].tail, h.now) + h.step());
+      } else if (roll < 50) {
+        // Out of order: before the lane's tail whenever the lane is busy.
+        const SimTime t = h.now + h.step();
+        if (t < h.lanes[k].tail) ++fallbacks;
+        h.in_lane(k, t);
+      } else if (roll < 60 && !h.ids.empty()) {
+        // Cancel an ordinary event: live, fired or already cancelled.
+        const std::size_t c = h.rng.next_below(h.ids.size());
+        if (h.ids[c] == EventId{}) continue;
+        h.q.cancel(h.ids[c]);
+        h.ref[c].live = false;
+      } else if (ref_live(h.ref) != 0) {
+        pop_one();
+        if (HasFatalFailure()) return;
+      }
+      const std::size_t live = ref_live(h.ref);
+      ASSERT_EQ(h.q.empty(), live == 0);
+      ASSERT_LE(h.q.size(), live);
+    }
+    while (!h.q.empty()) {
+      pop_one();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(ref_live(h.ref), 0u);
+    // The mix really exercised the lanes and the fallback path.
+    EXPECT_GT(h.lane_pushes, 3000u);
+    EXPECT_GT(fallbacks, 50u);
+  }
+}
+
+// Structural check: an in-order stream on one lane is one heap entry, however
+// deep the lane gets, and it drains in push order.
+TEST(EventQueueStress, InOrderLaneHoldsOneHeapEntry) {
+  EventQueue q;
+  const LaneId lane = q.open_lane();
+  std::vector<int> order;
+  for (int i = 0; i < 10000; ++i) {
+    // Pairs of equal times: ties resolve by push order inside the lane.
+    q.schedule_in_lane(lane, i / 2, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().cb();
+  ASSERT_EQ(order.size(), 10000u);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(order[i], i);
+}
+
+// An event earlier than its lane's tail becomes an ordinary heap entry and
+// keeps the sequence number it took at the call, so equal-time ties with the
+// lane and with plain events still resolve by call order.
+TEST(EventQueueStress, LateLaneEventFallsBackInCallOrder) {
+  EventQueue q;
+  const LaneId lane = q.open_lane();
+  std::vector<int> order;
+  q.schedule_in_lane(lane, 10, [&order] { order.push_back(1); });
+  q.schedule_in_lane(lane, 20, [&order] { order.push_back(2); });
+  q.schedule_in_lane(lane, 10, [&order] { order.push_back(3); });  // late
+  q.schedule(10, [&order] { order.push_back(4); });
+  q.schedule_in_lane(lane, 20, [&order] { order.push_back(5); });
+  // The lane head, the fallback and the plain event; 2 and 5 wait in the
+  // lane.
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 2, 5}));
 }
 
 // After an event fires, its handle slot may be reused by a new event; the

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,38 @@ TEST(Fabric, EcmpPathChoiceIsPartitionInvariant) {
       EXPECT_EQ(fp, base_fp) << "shards=" << shards;
     }
   }
+}
+
+TEST(FleetScenarios, AllToAllRunsMoreRoundsThanHosts) {
+  // Past hosts-1 rounds the peer offset wraps to 1 again instead of reaching
+  // the host itself, so every flow crosses the fabric and completes.
+  FabricOptions fopt = test_fabric();
+  fopt.hosts_per_rack = 2;
+  Fabric fabric(fopt);
+  ASSERT_EQ(fabric.host_count(), 4u);
+  fleet::Options a2a;
+  a2a.scenario = fleet::Scenario::kAllToAll;
+  a2a.a2a_rounds = 5;
+  const fleet::Result res = fleet::run(fabric, a2a);
+  EXPECT_TRUE(res.completed) << "consumed " << res.bytes_consumed << "/"
+                             << res.bytes_expected;
+  EXPECT_EQ(res.bytes_expected, 5u * 4u * a2a.a2a_bytes);
+  EXPECT_EQ(res.bytes_consumed, res.bytes_expected);
+
+  xgbe::tools::DropReport ledger;
+  ledger.add_testbed(fabric.testbed());
+  EXPECT_TRUE(ledger.conserved()) << ledger.render();
+  EXPECT_TRUE(ledger.connections_conserved()) << ledger.render();
+}
+
+TEST(FleetScenarios, AllToAllRejectsASingleHost) {
+  FabricOptions fopt = test_fabric(1);
+  fopt.racks = 1;
+  fopt.hosts_per_rack = 1;
+  Fabric fabric(fopt);
+  fleet::Options a2a;
+  a2a.scenario = fleet::Scenario::kAllToAll;
+  EXPECT_THROW(fleet::run(fabric, a2a), std::invalid_argument);
 }
 
 TEST(Fabric, OverdrivenIncastCollapsesAtTheTorPort) {
