@@ -176,8 +176,8 @@ class ResultLog {
       for (const auto& [key, value] : p.counters) {
         if (!fc) out += ',';
         fc = false;
-        out += "\"" + obs::json_escape(key) +
-               "\":" + obs::format_double(value);
+        out += '"';
+        out += obs::json_escape(key) + "\":" + obs::format_double(value);
       }
       out += "}}";
     }
@@ -253,7 +253,8 @@ inline std::string point_name(
   for (const auto& [key, value] : args) {
     name += "/";
     name += key;
-    name += ":" + std::to_string(value);
+    name += ':';
+    name += std::to_string(value);
   }
   return name;
 }

@@ -10,7 +10,8 @@ namespace xgbe::core {
 namespace {
 
 std::string host_name(std::size_t rack, std::size_t h) {
-  return "r" + std::to_string(rack) + "h" + std::to_string(h);
+  return std::string("r").append(std::to_string(rack)) + "h" +
+         std::to_string(h);
 }
 
 std::string trunk_name(std::size_t rack, std::size_t spine, std::size_t k) {

@@ -96,7 +96,7 @@ class Host {
   std::function<void(const net::Packet&)> raw_sink;
 
   /// Observation tap invoked for every packet after kernel receive
-  /// processing, before endpoint dispatch (MAGNET attaches here).
+  /// processing, before endpoint dispatch.
   std::function<void(const net::Packet&)> packet_tap;
 
   /// CPU load approximation over the current measurement window.

@@ -173,10 +173,9 @@ class Testbed {
 
   // --- Observability --------------------------------------------------------
   /// Arms the trace sink across the whole testbed: every existing host,
-  /// link, and switch, and everything created afterwards. Null disarms
-  /// future components but does not revisit existing ones with null;
-  /// disarm before teardown by not using the sink instead. Classic mode
-  /// only — a single sink shared across shards would race; use
+  /// link, and switch, and everything created afterwards. Null disarms them
+  /// all the same way, so a sink may be destroyed once disarmed. Classic
+  /// mode only — a single sink shared across shards would race; use
   /// set_shard_trace_sinks() in sharded mode.
   void set_trace_sink(obs::TraceSink* sink);
   obs::TraceSink* trace_sink() const { return trace_; }
@@ -189,9 +188,10 @@ class Testbed {
   /// revisited like in classic mode.
   void set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks);
 
-  /// Arms the span profiler across the whole testbed, same fan-out and
-  /// lifetime rules as set_trace_sink(). The profiler must outlive the
-  /// testbed or be disarmed before teardown.
+  /// Arms the span profiler across the whole testbed, same fan-out as
+  /// set_trace_sink(); null disarms every component. The profiler must
+  /// outlive the testbed or be disarmed before it is destroyed. Classic
+  /// mode only: a sharded testbed ignores the call and stays disarmed.
   void set_span_profiler(obs::SpanProfiler* spans);
   obs::SpanProfiler* span_profiler() const { return spans_; }
 

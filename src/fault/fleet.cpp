@@ -8,7 +8,10 @@ std::string coord(const char* what, std::size_t rack, std::size_t a,
                   std::size_t b = static_cast<std::size_t>(-1)) {
   std::string s = std::string(what) + " rack" + std::to_string(rack) + "-" +
                   std::to_string(a);
-  if (b != static_cast<std::size_t>(-1)) s += "-" + std::to_string(b);
+  if (b != static_cast<std::size_t>(-1)) {
+    s += '-';
+    s += std::to_string(b);
+  }
   return s;
 }
 

@@ -231,13 +231,18 @@ void EthernetSwitch::on_frame(int /*ingress*/, const net::Packet& pkt) {
   auto rec = hop_pool_.acquire();
   rec->pkt = frame;
   rec->egress = egress;
-  auto hop = [this, rec]() { egress_frame(rec->egress, rec->pkt); };
+  auto hop = [this, rec = std::move(rec)]() {
+    egress_frame(rec->egress, rec->pkt);
+  };
   static_assert(sim::InlineCallback::fits_inline<decltype(hop)>());
-  sim_.schedule(cross + verdict.extra_delay, hop);
-  if (verdict.duplicate) {
-    sim_.schedule(cross + verdict.extra_delay + verdict.duplicate_delay,
-                  std::move(hop));
+  if (!verdict.duplicate) {
+    sim_.schedule(cross + verdict.extra_delay, std::move(hop));
+    return;
   }
+  // A duplicate shares the record with the original.
+  sim_.schedule(cross + verdict.extra_delay, hop);
+  sim_.schedule(cross + verdict.extra_delay + verdict.duplicate_delay,
+                std::move(hop));
 }
 
 void EthernetSwitch::egress_frame(int port, const net::Packet& pkt) {

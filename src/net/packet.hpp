@@ -61,18 +61,6 @@ struct TcpMeta {
   bool push = false;  // PSH: end of an application write
 };
 
-/// Per-packet path timestamps for MAGNET-style profiling (§3.2: "MAGNET
-/// allowed us to trace and profile the paths taken by individual packets
-/// through the TCP stack"). Only filled for sampled packets.
-struct PathTrace {
-  bool enabled = false;
-  sim::SimTime t_nic = 0;      // driver handed the frame to the adapter
-  sim::SimTime t_dma_done = 0; // TX DMA read complete
-  sim::SimTime t_rx_arrive = 0;  // last bit arrived from the wire
-  sim::SimTime t_rx_dma = 0;     // RX DMA write complete
-  sim::SimTime t_irq = 0;        // interrupt raised to the kernel
-};
-
 /// A frame in flight. The struct is a plain value; copies are cheap.
 struct Packet {
   std::uint64_t id = 0;       // unique per simulation, for tracing
@@ -94,13 +82,16 @@ struct Packet {
   bool ce = false;
   sim::SimTime created_at = 0;      // when the transport layer emitted it
   sim::SimTime sent_at = 0;         // when serialization onto the wire began
-  PathTrace trace;                  // MAGNET sampling (usually disabled)
 
   /// Wire occupancy (frame + preamble + IFG, min-frame enforced).
   std::uint32_t wire_bytes() const {
     return wire_occupancy_bytes(frame_bytes);
   }
 };
+
+// Every link delivery and switch hop copies a Packet into a pooled record;
+// keep it small.
+static_assert(sizeof(Packet) <= 112, "net::Packet grew past 112 bytes");
 
 /// Builds a bare (payload-less) TCP control segment frame size.
 constexpr std::uint32_t tcp_ack_frame_bytes(bool timestamps) {

@@ -93,8 +93,9 @@ std::string Snapshot::to_csv() const {
       case Kind::kDistribution:
         out += ",distribution," + format_double(s.value) + ",";
         append_format(out, "%llu", static_cast<unsigned long long>(s.count));
-        out += "," + format_double(s.min) + "," + format_double(s.max) +
-               "," + format_double(s.stddev) + "\n";
+        out += ',';
+        out += format_double(s.min) + "," + format_double(s.max) + "," +
+               format_double(s.stddev) + "\n";
         break;
     }
   }

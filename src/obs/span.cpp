@@ -97,18 +97,6 @@ std::string breakdown_json(const SpanBreakdown& b) {
   return out;
 }
 
-SpanProfiler::SpanProfiler(double hist_max_us, std::size_t hist_buckets,
-                           std::size_t max_open)
-    : e2e_hist_(0.0, hist_max_us, hist_buckets),
-      hist_max_us_(hist_max_us),
-      hist_buckets_(hist_buckets),
-      max_open_(max_open) {
-  stage_hist_.reserve(kStageCount);
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    stage_hist_.emplace_back(0.0, hist_max_us, hist_buckets);
-  }
-}
-
 bool SpanProfiler::eligible(const net::Packet& pkt) {
   return pkt.protocol == net::Protocol::kTcp && pkt.payload_bytes > 0 &&
          !pkt.tcp.flags.syn && !pkt.tcp.flags.fin;
@@ -124,7 +112,7 @@ void SpanProfiler::begin(const net::Packet& pkt, sim::SimTime write_call,
     open_.erase(it);
     ++aborted_;
   }
-  if (open_.size() >= max_open_) {
+  if (open_.size() >= kMaxOpen) {
     ++overflowed_;
     return;
   }
@@ -163,7 +151,7 @@ void SpanProfiler::finish_consumed(net::FlowId flow, net::NodeId src,
          it->first.src == src) {
     Journey& j = it->second;
     if (net::seq_le(it->first.seq + j.len, consumed_upto)) {
-      finish(j, at);
+      finish(it->first, j, at);
       it = open_.erase(it);
     } else {
       ++it;
@@ -171,16 +159,12 @@ void SpanProfiler::finish_consumed(net::FlowId flow, net::NodeId src,
   }
 }
 
-void SpanProfiler::finish(Journey& j, sim::SimTime at) {
+void SpanProfiler::finish(const Key& key, Journey& j, sim::SimTime at) {
   j.dur[static_cast<std::size_t>(j.last_stage)] += at - j.last_at;
-  const std::int64_t total = at - j.begin_at;
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    stage_total_ps_[i] += j.dur[i];
-    stage_hist_[i].add(ps_to_us(j.dur[i]));
-  }
-  end_to_end_total_ps_ += total;
-  e2e_hist_.add(ps_to_us(total));
+  for (std::size_t i = 0; i < kStageCount; ++i) stage_total_ps_[i] += j.dur[i];
+  end_to_end_total_ps_ += at - j.begin_at;
   ++journeys_;
+  if (hook_) hook_(key.flow, key.src, j.dur);
 }
 
 void SpanProfiler::reset() {
@@ -188,11 +172,6 @@ void SpanProfiler::reset() {
   stage_total_ps_.fill(0);
   end_to_end_total_ps_ = 0;
   journeys_ = opened_ = aborted_ = overflowed_ = 0;
-  stage_hist_.clear();
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    stage_hist_.emplace_back(0.0, hist_max_us_, hist_buckets_);
-  }
-  e2e_hist_ = sim::Histogram(0.0, hist_max_us_, hist_buckets_);
 }
 
 SpanBreakdown SpanProfiler::breakdown() const {
@@ -204,14 +183,6 @@ SpanBreakdown SpanProfiler::breakdown() const {
   b.aborted = aborted_;
   b.overflowed = overflowed_;
   return b;
-}
-
-const sim::Histogram& SpanProfiler::stage_histogram(Stage stage) const {
-  return stage_hist_[static_cast<std::size_t>(stage)];
-}
-
-const sim::Histogram& SpanProfiler::end_to_end_histogram() const {
-  return e2e_hist_;
 }
 
 FlowSampler::FlowSampler(sim::SimTime interval, std::size_t max_samples)
@@ -300,7 +271,8 @@ std::string series_json(const FlowSampler& sampler) {
   for (const FlowSampler::Row& r : sampler.rows()) {
     if (!first) out += ",";
     first = false;
-    out += "[" + std::to_string(r.at) + "," + std::to_string(r.flow) + "," +
+    out += '[';
+    out += std::to_string(r.at) + "," + std::to_string(r.flow) + "," +
            std::to_string(r.sample.cwnd_segments) + "," +
            std::to_string(r.sample.ssthresh_segments) + "," +
            std::to_string(r.sample.flight_bytes) + "," +

@@ -37,7 +37,6 @@
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace xgbe::sim {
@@ -52,8 +51,9 @@ namespace xgbe::obs {
 enum class Stage : std::uint8_t {
   kAppWrite = 0,  // app_send() called -> kernel admitted the write
   kSockbuf,       // write admitted -> segment built and handed to the driver
-  kTxRing,        // driver queue + tx descriptor ring wait -> DMA starts
-  kTxDma,         // DMA read across the I/O bus -> first bit on the wire
+  kTxRing,        // kernel tx path -> driver posts the frame to the adapter
+  kTxDma,         // DMA-engine wait + read across the I/O bus -> first bit
+                  // on the wire
   kWire,          // serialization + propagation (accumulates per hop)
   kSwitchQueue,   // switch ingress -> egress port begins transmit
   kRxRing,        // last bit arrived -> RX DMA write complete
@@ -64,6 +64,9 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount = 10;
 
+/// One journey's integer-picosecond duration per stage, indexed by Stage.
+using StageDurations = std::array<std::int64_t, kStageCount>;
+
 /// Display name for a stage ("app-write", "intr-coalesce", ...).
 const char* stage_name(Stage stage);
 
@@ -71,7 +74,7 @@ const char* stage_name(Stage stage);
 /// journey stage durations; stage_total_ps sums to end_to_end_total_ps by
 /// construction (asserted by the stage-conservation test).
 struct SpanBreakdown {
-  std::array<std::int64_t, kStageCount> stage_total_ps{};
+  StageDurations stage_total_ps{};
   std::int64_t end_to_end_total_ps = 0;
   std::uint64_t journeys = 0;    // completed (consumed) journeys
   std::uint64_t opened = 0;      // journeys started
@@ -99,9 +102,15 @@ std::string breakdown_json(const SpanBreakdown& b);
 /// hook is a no-op when the component's pointer is null.
 class SpanProfiler {
  public:
-  explicit SpanProfiler(double hist_max_us = 100.0,
-                        std::size_t hist_buckets = 100,
-                        std::size_t max_open = 4096);
+  /// Most journeys tracked at once; begin() past the cap counts as
+  /// overflowed instead.
+  static constexpr std::size_t kMaxOpen = 4096;
+
+  /// Called once per completed journey, in completion order, with the
+  /// journey's flow, sending node and per-stage durations. The hook must not
+  /// call back into the profiler.
+  using JourneyHook = std::function<void(
+      net::FlowId flow, net::NodeId src, const StageDurations& dur)>;
 
   /// Opens a journey for `pkt` (the first frame carrying a tracked write).
   /// `write_call`/`write_done` bound the app-write stage, `emitted` is when
@@ -127,12 +136,14 @@ class SpanProfiler {
                        consumed_upto, sim::SimTime at);
 
   /// Drops all aggregates *and* open journeys; used at a bench warmup
-  /// boundary so the breakdown covers exactly the measured iterations.
+  /// boundary so the breakdown covers exactly the measured iterations. The
+  /// journey hook stays set.
   void reset();
 
+  /// Sets (or, with an empty function, clears) the completed-journey hook.
+  void set_journey_hook(JourneyHook hook) { hook_ = std::move(hook); }
+
   SpanBreakdown breakdown() const;
-  const sim::Histogram& stage_histogram(Stage stage) const;
-  const sim::Histogram& end_to_end_histogram() const;
   std::size_t open_journeys() const { return open_.size(); }
 
  private:
@@ -147,7 +158,7 @@ class SpanProfiler {
     }
   };
   struct Journey {
-    std::array<std::int64_t, kStageCount> dur{};
+    StageDurations dur{};
     sim::SimTime begin_at = 0;  // app_send() call time
     sim::SimTime last_at = 0;
     Stage last_stage = Stage::kAppWrite;
@@ -155,21 +166,17 @@ class SpanProfiler {
   };
 
   static bool eligible(const net::Packet& pkt);
-  void finish(Journey& j, sim::SimTime at);
+  void finish(const Key& key, Journey& j, sim::SimTime at);
 
   // std::map: deterministic iteration for finish_consumed()'s range scan.
   std::map<Key, Journey> open_;
-  std::array<std::int64_t, kStageCount> stage_total_ps_{};
+  StageDurations stage_total_ps_{};
   std::int64_t end_to_end_total_ps_ = 0;
   std::uint64_t journeys_ = 0;
   std::uint64_t opened_ = 0;
   std::uint64_t aborted_ = 0;
   std::uint64_t overflowed_ = 0;
-  std::vector<sim::Histogram> stage_hist_;
-  sim::Histogram e2e_hist_;
-  double hist_max_us_;
-  std::size_t hist_buckets_;
-  std::size_t max_open_;
+  JourneyHook hook_;
 };
 
 /// Fixed-interval per-flow sampler of the TCP state variables the paper's

@@ -1,7 +1,7 @@
 // Typed event trace: the observability layer's timeline.
 //
 // A TraceSink is a ring-buffer flight recorder (plus an optional full JSONL
-// stream) fed from the same choke points tcpdump and MAGNET already tap:
+// stream) fed from the same choke points as tcpdump and the span profiler:
 // segment tx/rx/drop, RTO and fast retransmit, window updates, descriptor-
 // ring stalls and refills, and fault-injection decisions. Components hold a
 // plain `obs::TraceSink*` that defaults to null; every emission site is

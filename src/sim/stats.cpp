@@ -67,39 +67,4 @@ OnlineStats SampleSet::summary() const {
   return s;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (counts_.empty()) return;
-  const std::size_t last = counts_.size() - 1;
-  std::size_t idx = 0;
-  if (!std::isfinite(x)) {
-    // NaN and -inf clamp low, +inf clamps high: deterministic, no UB from
-    // casting an unrepresentable double.
-    idx = (x > 0.0) ? last : 0;
-  } else {
-    const double span = hi_ - lo_;
-    if (span > 0.0) {
-      const double pos = (x - lo_) / span * static_cast<double>(counts_.size());
-      if (pos <= 0.0) {
-        idx = 0;
-      } else if (pos >= static_cast<double>(counts_.size())) {
-        idx = last;
-      } else {
-        idx = static_cast<std::size_t>(pos);
-        if (idx > last) idx = last;  // guard FP edge at pos ~ size
-      }
-    }
-    // Zero/negative span (degenerate range): everything lands in bucket 0.
-  }
-  ++counts_[idx];
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
 }  // namespace xgbe::sim

@@ -77,22 +77,4 @@ class SampleSet {
   friend struct SampleSetUseGuard;
 };
 
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
-  double bucket_low(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace xgbe::sim

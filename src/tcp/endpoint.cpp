@@ -592,9 +592,6 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
     }
   }
   if (seg.packets > 1) pkt.tcp.tso_mss = snd_mss_payload_;
-  if (trace_every_ != 0 && (++trace_counter_ % trace_every_) == 0) {
-    pkt.trace.enabled = true;
-  }
   if (!retransmission) {
     seg.first_sent = sim_.now();
     stats_.bytes_sent += seg.len;

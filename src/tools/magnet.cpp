@@ -1,7 +1,8 @@
 #include "tools/magnet.hpp"
 
-#include <memory>
+#include <stdexcept>
 
+#include "obs/span.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe::tools {
@@ -24,34 +25,55 @@ const MagnetStage* MagnetReport::hottest() const {
 MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
                         core::Host& sender, core::Host& receiver,
                         const MagnetOptions& options) {
+  if (tb.sharded()) {
+    throw std::invalid_argument(
+        "run_magnet: the span profiler runs on classic testbeds only");
+  }
   MagnetReport report;
   report.stages = {
-      {"tx_host", {}},   // TCP emit -> adapter (kernel tx path + queue)
-      {"tx_dma", {}},    // adapter -> DMA read complete (PCI-X)
-      {"wire", {}},      // DMA done -> last bit at the peer NIC
-      {"rx_dma", {}},    // arrival -> DMA write complete
-      {"coalesce", {}},  // DMA done -> interrupt raised
-      {"rx_kernel", {}}, // interrupt -> protocol processing done
+      {"tx_host", {}},   // TCP emit -> driver posts the frame (tx-ring)
+      {"tx_dma", {}},    // adapter queue + DMA read (tx-dma)
+      {"wire", {}},      // first bit out -> last bit at the peer NIC
+      {"rx_dma", {}},    // arrival -> DMA write complete (rx-ring)
+      {"coalesce", {}},  // DMA done -> interrupt raised (intr-coalesce)
+      {"rx_kernel", {}}, // interrupt -> TCP accepted the segment (rx-stack)
   };
-  sim::OnlineStats total;
 
-  conn.client->set_trace_sampling(options.sample_every);
-  auto sampled = std::make_shared<std::uint64_t>(0);
-  auto* stages = &report.stages;
-  receiver.packet_tap = [sampled, stages, &tb](const net::Packet& pkt) {
-    if (!pkt.trace.enabled || pkt.payload_bytes == 0) return;
-    ++*sampled;
-    const auto& t = pkt.trace;
-    auto span_us = [](sim::SimTime a, sim::SimTime b) {
-      return sim::to_microseconds(b - a);
+  // Every sample_every-th completed journey of the sender's data on this
+  // connection, coarsened from the ten span stages to MAGNET's six.
+  obs::SpanProfiler spans;
+  std::uint64_t completed = 0;
+  spans.set_journey_hook([&](net::FlowId flow, net::NodeId src,
+                             const obs::StageDurations& dur) {
+    if (flow != conn.flow || src != sender.node()) return;
+    if (options.sample_every == 0 || ++completed % options.sample_every != 0) {
+      return;
+    }
+    ++report.sampled_packets;
+    auto ps = [&dur](obs::Stage stage) {
+      return dur[static_cast<std::size_t>(stage)];
     };
-    (*stages)[0].us.add(span_us(pkt.created_at, t.t_nic));
-    (*stages)[1].us.add(span_us(t.t_nic, t.t_dma_done));
-    (*stages)[2].us.add(span_us(t.t_dma_done, t.t_rx_arrive));
-    (*stages)[3].us.add(span_us(t.t_rx_arrive, t.t_rx_dma));
-    (*stages)[4].us.add(span_us(t.t_rx_dma, t.t_irq));
-    (*stages)[5].us.add(span_us(t.t_irq, tb.now()));
-  };
+    const sim::SimTime grouped[] = {
+        ps(obs::Stage::kTxRing),
+        ps(obs::Stage::kTxDma),
+        ps(obs::Stage::kWire) + ps(obs::Stage::kSwitchQueue),
+        ps(obs::Stage::kRxRing),
+        ps(obs::Stage::kIntrCoalesce),
+        ps(obs::Stage::kRxStack),
+    };
+    for (std::size_t i = 0; i < report.stages.size(); ++i) {
+      report.stages[i].us.add(sim::to_microseconds(grouped[i]));
+    }
+  });
+
+  // Re-arms whatever profiler was armed before, also if the run throws;
+  // declared after `spans`, so it runs before `spans` dies.
+  struct Rearm {
+    core::Testbed& tb;
+    obs::SpanProfiler* previous;
+    ~Rearm() { tb.set_span_profiler(previous); }
+  } rearm{tb, tb.span_profiler()};
+  tb.set_span_profiler(&spans);
 
   NttcpOptions nt;
   nt.payload = options.payload;
@@ -59,11 +81,7 @@ MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
   nt.timeout = options.timeout;
   const NttcpResult r = run_nttcp(tb, conn, sender, receiver, nt);
 
-  receiver.packet_tap = nullptr;
-  conn.client->set_trace_sampling(0);
-
   report.completed = r.completed;
-  report.sampled_packets = *sampled;
   report.throughput_gbps = r.throughput_gbps();
   double sum = 0.0;
   for (const auto& s : report.stages) sum += s.us.mean();

@@ -7,8 +7,13 @@
 // "an unprecedentedly high-resolution picture of the most expensive aspects
 // of TCP processing overhead".
 //
-// This re-implementation samples every Nth data segment, stamps it at each
-// stage of the simulated path, and aggregates per-stage residence times.
+// This re-implementation is a view over obs::SpanProfiler: it arms a
+// profiler for one NTTCP transfer, takes every Nth completed journey of the
+// sender's data segments, and coarsens the ten span stages into MAGNET's six
+// (tx-ring -> tx_host, tx-dma -> tx_dma, wire + switch-queue -> wire,
+// rx-ring -> rx_dma, intr-coalesce -> coalesce, rx-stack -> rx_kernel).
+// Journeys of retransmitted segments abort, so retransmissions are never
+// sampled; a TSO super-segment is one sample.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +28,7 @@ namespace xgbe::tools {
 struct MagnetOptions {
   std::uint32_t payload = 8000;
   std::uint32_t count = 2000;
-  std::uint32_t sample_every = 10;  // trace every Nth segment
+  std::uint32_t sample_every = 10;  // sample every Nth journey (0: none)
   sim::SimTime timeout = sim::sec(120);
 };
 
@@ -37,8 +42,9 @@ struct MagnetReport {
   bool completed = false;
   std::uint64_t sampled_packets = 0;
   double throughput_gbps = 0.0;
-  /// Stages in path order: tx host (TCP + driver + queueing), TX DMA,
-  /// wire (+switch), RX DMA, interrupt coalescing, RX kernel.
+  /// Stages in path order: tx host (kernel tx path + driver), TX DMA
+  /// (adapter queue + DMA read), wire (+switch), RX DMA, interrupt
+  /// coalescing, RX kernel.
   std::vector<MagnetStage> stages;
   double total_us_mean = 0.0;
 
@@ -47,8 +53,11 @@ struct MagnetReport {
   const MagnetStage* hottest() const;
 };
 
-/// Runs an NTTCP transfer with MAGNET sampling enabled on the sender and a
-/// collection tap on the receiver; returns per-stage cost statistics.
+/// Runs an NTTCP transfer from `sender` to `receiver` under a span profiler
+/// of its own and returns per-stage cost statistics. Whatever profiler was
+/// armed on `tb` before is re-armed afterwards (it sees none of this run).
+/// Throws std::invalid_argument on a sharded testbed: spans run in classic
+/// mode only.
 MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
                         core::Host& sender, core::Host& receiver,
                         const MagnetOptions& options);

@@ -30,7 +30,7 @@ std::string format_wire_event(const obs::TraceEvent& ev) {
       flags += '.';
     }
     if ((ev.flags & obs::kFlagPush) != 0) flags += 'P';
-    if (flags.empty()) flags = ".";
+    if (flags.empty()) flags += '.';
     line += "Flags [" + flags + "], ";
 
     if (ev.len > 0) {

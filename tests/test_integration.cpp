@@ -278,8 +278,9 @@ TEST(MultiFlow, GbeClientsAggregateThroughSwitch) {
   std::vector<core::Testbed::Connection> conns;
   std::vector<core::Host*> clients;
   for (int i = 0; i < 4; ++i) {
-    auto& c = tb.add_host("c" + std::to_string(i), hw::presets::gbe_client(),
-                          tuning, nic::intel_e1000());
+    auto& c = tb.add_host(std::string("c").append(std::to_string(i)),
+                          hw::presets::gbe_client(), tuning,
+                          nic::intel_e1000());
     tb.connect_to_switch(c, sw, gbe);
     clients.push_back(&c);
     conns.push_back(tb.open_connection(

@@ -173,6 +173,29 @@ TEST(Trace, ArmingASinkDoesNotPerturbTheSimulation) {
   EXPECT_GT(sink.recorded(), 0u);
 }
 
+TEST(Trace, NullSinkDisarmsExistingComponents) {
+  core::Testbed tb;
+  obs::TraceSink sink(512);
+  tb.set_trace_sink(&sink);
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 100;
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  const std::uint64_t offered = sink.offered();
+  ASSERT_GT(offered, 0u);
+
+  // Disarmed, a second transfer must not reach the sink at all.
+  tb.set_trace_sink(nullptr);
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  EXPECT_EQ(sink.offered(), offered);
+}
+
 TEST(Trace, RingRetainsTheTailInOrder) {
   obs::TraceSink sink(4);
   for (std::uint32_t i = 0; i < 10; ++i) {

@@ -160,6 +160,30 @@ TEST(SpanProfiler, DroppedSegmentsAbortInsteadOfCorrupting) {
   EXPECT_EQ(breakdown.stage_sum_ps(), breakdown.end_to_end_total_ps);
 }
 
+TEST(SpanProfiler, NullDisarmsExistingComponents) {
+  core::Testbed tb;
+  obs::SpanProfiler spans;
+  tb.set_span_profiler(&spans);
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 100;
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  const std::uint64_t opened = spans.breakdown().opened;
+  ASSERT_GT(opened, 0u);
+
+  // Disarmed, a second transfer must open no journey: the components hold
+  // no pointer to the profiler any more.
+  tb.set_span_profiler(nullptr);
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  EXPECT_EQ(spans.breakdown().opened, opened);
+}
+
 TEST(SpanProfiler, ResetClearsAggregatesAndOpenJourneys) {
   obs::SpanProfiler spans;
   const PingPongRun run = ping_pong(1, false, true, &spans);
@@ -172,7 +196,36 @@ TEST(SpanProfiler, ResetClearsAggregatesAndOpenJourneys) {
   EXPECT_EQ(b.stage_sum_ps(), 0);
   EXPECT_EQ(b.end_to_end_total_ps, 0);
   EXPECT_EQ(spans.open_journeys(), 0u);
-  EXPECT_EQ(spans.end_to_end_histogram().total(), 0u);
+}
+
+TEST(SpanProfiler, JourneyHookSeesEveryCompletedJourney) {
+  core::Testbed tb;
+  obs::SpanProfiler spans;
+  std::uint64_t calls = 0;
+  obs::StageDurations sum{};
+  spans.set_journey_hook(
+      [&](net::FlowId, net::NodeId, const obs::StageDurations& dur) {
+        ++calls;
+        for (std::size_t i = 0; i < obs::kStageCount; ++i) sum[i] += dur[i];
+      });
+  tb.set_span_profiler(&spans);
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 200;
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  tb.set_span_profiler(nullptr);
+
+  // The hook sees exactly the journeys the aggregates fold in.
+  const obs::SpanBreakdown breakdown = spans.breakdown();
+  EXPECT_EQ(calls, breakdown.journeys);
+  EXPECT_EQ(calls, 200u);
+  EXPECT_EQ(sum, breakdown.stage_total_ps);
 }
 
 TEST(SpanProfiler, BreakdownRenderingsAreConsistent) {

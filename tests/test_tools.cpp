@@ -2,7 +2,11 @@
 // offload extensions, plus tool semantics not covered elsewhere.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+
 #include "core/testbed.hpp"
+#include "obs/span.hpp"
 #include "tools/drop_report.hpp"
 #include "tools/iperf.hpp"
 #include "tools/magnet.hpp"
@@ -66,20 +70,121 @@ TEST(Magnet, StageStructureIsPhysical) {
   EXPECT_TRUE(hottest->name == "rx_kernel" || hottest->name == "tx_dma");
 }
 
-TEST(Magnet, SamplingOffByDefault) {
+// Same transfer, same options, on a fresh pair joined by a switch (so the
+// switch-queue stage is non-zero): with or without MAGNET.
+struct MagnetRig {
   core::Testbed tb;
-  core::Host *a, *b;
-  auto conn = make_pair(tb, core::TuningProfile::lan_tuned(9000), &a, &b);
-  std::uint64_t traced = 0;
-  b->packet_tap = [&](const net::Packet& pkt) {
-    traced += pkt.trace.enabled ? 1 : 0;
-  };
+  core::Host* a = nullptr;
+  core::Host* b = nullptr;
+  core::Testbed::Connection conn;
+  MagnetRig() {
+    const auto tuning = core::TuningProfile::lan_tuned(9000);
+    a = &tb.add_host("a", hw::presets::pe2650(), tuning);
+    b = &tb.add_host("b", hw::presets::pe2650(), tuning);
+    auto& sw = tb.add_switch();
+    tb.connect_to_switch(*a, sw);
+    tb.connect_to_switch(*b, sw);
+    conn = tb.open_connection(*a, *b, a->endpoint_config(),
+                              b->endpoint_config());
+  }
+};
+
+constexpr std::uint32_t kMagnetPayload = 8948;
+constexpr std::uint32_t kMagnetCount = 500;
+
+tools::NttcpOptions magnet_nttcp_options() {
   tools::NttcpOptions opt;
-  opt.payload = 8000;
-  opt.count = 200;
-  ASSERT_TRUE(tools::run_nttcp(tb, conn, *a, *b, opt).completed);
-  b->packet_tap = nullptr;
-  EXPECT_EQ(traced, 0u);
+  opt.payload = kMagnetPayload;
+  opt.count = kMagnetCount;
+  return opt;
+}
+
+tools::MagnetOptions magnet_options() {
+  tools::MagnetOptions opt;
+  opt.payload = kMagnetPayload;
+  opt.count = kMagnetCount;
+  opt.sample_every = 10;
+  return opt;
+}
+
+TEST(Magnet, LeavesTheRunBitIdentical) {
+  MagnetRig plain;
+  const auto r = tools::run_nttcp(plain.tb, plain.conn, *plain.a, *plain.b,
+                                  magnet_nttcp_options());
+  MagnetRig profiled;
+  const auto m = tools::run_magnet(profiled.tb, profiled.conn, *profiled.a,
+                                   *profiled.b, magnet_options());
+  ASSERT_TRUE(r.completed && m.completed);
+  EXPECT_EQ(m.sampled_packets, kMagnetCount / 10);
+  EXPECT_EQ(m.throughput_gbps, r.throughput_gbps());
+  EXPECT_EQ(profiled.tb.simulator().executed_events(),
+            plain.tb.simulator().executed_events());
+  EXPECT_EQ(profiled.tb.now(), plain.tb.now());
+  const auto& ptx = plain.conn.client->stats();
+  const auto& mtx = profiled.conn.client->stats();
+  EXPECT_EQ(mtx.bytes_sent, ptx.bytes_sent);
+  EXPECT_EQ(mtx.bytes_acked, ptx.bytes_acked);
+  EXPECT_EQ(profiled.conn.server->stats().bytes_consumed,
+            plain.conn.server->stats().bytes_consumed);
+  tools::DropReport plain_ledger, profiled_ledger;
+  plain_ledger.add_testbed(plain.tb);
+  profiled_ledger.add_testbed(profiled.tb);
+  EXPECT_EQ(profiled_ledger.render(), plain_ledger.render());
+  // MAGNET disarms its profiler when it returns.
+  EXPECT_EQ(profiled.tb.span_profiler(), nullptr);
+}
+
+TEST(Magnet, CoarsensSpanJourneys) {
+  // Hand-armed profiler: every 10th journey, grouped into MAGNET's stages.
+  MagnetRig hand;
+  std::array<sim::OnlineStats, 6> grouped;
+  std::uint64_t journeys = 0;
+  obs::SpanProfiler spans;
+  spans.set_journey_hook([&](net::FlowId, net::NodeId,
+                             const obs::StageDurations& dur) {
+    if (++journeys % 10 != 0) return;
+    auto ps = [&dur](obs::Stage stage) {
+      return dur[static_cast<std::size_t>(stage)];
+    };
+    grouped[0].add(sim::to_microseconds(ps(obs::Stage::kTxRing)));
+    grouped[1].add(sim::to_microseconds(ps(obs::Stage::kTxDma)));
+    grouped[2].add(sim::to_microseconds(ps(obs::Stage::kWire) +
+                                        ps(obs::Stage::kSwitchQueue)));
+    grouped[3].add(sim::to_microseconds(ps(obs::Stage::kRxRing)));
+    grouped[4].add(sim::to_microseconds(ps(obs::Stage::kIntrCoalesce)));
+    grouped[5].add(sim::to_microseconds(ps(obs::Stage::kRxStack)));
+  });
+  hand.tb.set_span_profiler(&spans);
+  ASSERT_TRUE(tools::run_nttcp(hand.tb, hand.conn, *hand.a, *hand.b,
+                               magnet_nttcp_options())
+                  .completed);
+  hand.tb.set_span_profiler(nullptr);
+
+  MagnetRig profiled;
+  const auto m = tools::run_magnet(profiled.tb, profiled.conn, *profiled.a,
+                                   *profiled.b, magnet_options());
+  ASSERT_TRUE(m.completed);
+  ASSERT_EQ(m.stages.size(), grouped.size());
+  for (std::size_t i = 0; i < grouped.size(); ++i) {
+    const sim::OnlineStats& got = m.stages[i].us;
+    EXPECT_EQ(got.count(), grouped[i].count()) << m.stages[i].name;
+    EXPECT_EQ(got.mean(), grouped[i].mean()) << m.stages[i].name;
+    EXPECT_EQ(got.min(), grouped[i].min()) << m.stages[i].name;
+    EXPECT_EQ(got.max(), grouped[i].max()) << m.stages[i].name;
+  }
+  EXPECT_EQ(m.sampled_packets, grouped[0].count());
+}
+
+TEST(Magnet, RejectsAShardedTestbed) {
+  core::Testbed tb(2);
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host_on(0, "a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host_on(1, "b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  EXPECT_THROW(tools::run_magnet(tb, conn, a, b, magnet_options()),
+               std::invalid_argument);
 }
 
 // run_iperf stops its writer when the measurement window closes, while the
