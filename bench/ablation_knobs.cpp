@@ -3,7 +3,8 @@
 //
 // Every (family, knob-setting) pair is an independent deterministic
 // simulation, so the full ablation grid is computed once through
-// parallel_sweep; benchmark rows report their precomputed point.
+// timed_sweep; each benchmark row reports its precomputed point and, as its
+// time, the host time that point took in its worker.
 #include "bench/common.hpp"
 #include "bench/parallel_sweep.hpp"
 
@@ -121,23 +122,23 @@ const std::vector<Point>& grid() {
   return pts;
 }
 
-const Result& result_for(Family family, std::int64_t arg) {
-  static const std::vector<Result> results =
-      xgbe::bench::parallel_sweep(grid(), compute);
+const xgbe::bench::Timed<Result>& result_for(Family family,
+                                             std::int64_t arg) {
+  static const std::vector<xgbe::bench::Timed<Result>> results =
+      xgbe::bench::timed_sweep(grid(), compute);
   for (std::size_t i = 0; i < grid().size(); ++i) {
     if (grid()[i].family == family && grid()[i].arg == arg) {
       return results[i];
     }
   }
-  static const Result none{};
+  static const xgbe::bench::Timed<Result> none{};
   return none;
 }
 
 void Ablation_MmrbcSweep(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kMmrbc, state.range(0)));
-  }
-  const auto& r = result_for(Family::kMmrbc, state.range(0));
+  const auto& t = result_for(Family::kMmrbc, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   xgbe::bench::log_point(
       state, xgbe::bench::point_name("Ablation_MmrbcSweep",
@@ -145,10 +146,9 @@ void Ablation_MmrbcSweep(benchmark::State& state) {
 }
 
 void Ablation_CoalescingSweep(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kCoalescing, state.range(0)));
-  }
-  const auto& r = result_for(Family::kCoalescing, state.range(0));
+  const auto& t = result_for(Family::kCoalescing, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   state.counters["latency_us"] = r.lat.latency_us;
   state.counters["cpu_rx"] = r.thr.receiver_load;
@@ -158,10 +158,9 @@ void Ablation_CoalescingSweep(benchmark::State& state) {
 }
 
 void Ablation_NapiVsOldApi(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kNapi, state.range(0)));
-  }
-  const auto& r = result_for(Family::kNapi, state.range(0));
+  const auto& t = result_for(Family::kNapi, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   state.counters["cpu_rx"] = r.thr.receiver_load;
   xgbe::bench::log_point(
@@ -170,10 +169,9 @@ void Ablation_NapiVsOldApi(benchmark::State& state) {
 }
 
 void Ablation_ChecksumOffload(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kCsum, state.range(0)));
-  }
-  const auto& r = result_for(Family::kCsum, state.range(0));
+  const auto& t = result_for(Family::kCsum, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   state.counters["cpu_rx"] = r.thr.receiver_load;
   xgbe::bench::log_point(
@@ -182,10 +180,9 @@ void Ablation_ChecksumOffload(benchmark::State& state) {
 }
 
 void Ablation_Tso(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kTso, state.range(0)));
-  }
-  const auto& r = result_for(Family::kTso, state.range(0));
+  const auto& t = result_for(Family::kTso, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   state.counters["cpu_tx"] = r.thr.sender_load;
   xgbe::bench::log_point(
@@ -194,10 +191,9 @@ void Ablation_Tso(benchmark::State& state) {
 }
 
 void Ablation_SwsRounding(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kSws, state.range(0)));
-  }
-  const auto& r = result_for(Family::kSws, state.range(0));
+  const auto& t = result_for(Family::kSws, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   xgbe::bench::log_point(
       state, xgbe::bench::point_name("Ablation_SwsRounding",
@@ -205,10 +201,9 @@ void Ablation_SwsRounding(benchmark::State& state) {
 }
 
 void Ablation_Timestamps(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(result_for(Family::kTimestamps, state.range(0)));
-  }
-  const auto& r = result_for(Family::kTimestamps, state.range(0));
+  const auto& t = result_for(Family::kTimestamps, state.range(0));
+  for (auto _ : state) state.SetIterationTime(t.seconds);
+  const auto& r = t.value;
   state.counters["Gb/s"] = r.thr.throughput_gbps();
   xgbe::bench::log_point(
       state, xgbe::bench::point_name("Ablation_Timestamps",
@@ -224,6 +219,7 @@ BENCHMARK(Ablation_MmrbcSweep)
     ->Arg(4096)
     ->ArgNames({"mmrbc"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_CoalescingSweep)
@@ -233,6 +229,7 @@ BENCHMARK(Ablation_CoalescingSweep)
     ->Arg(50)
     ->ArgNames({"rx_usecs"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_NapiVsOldApi)
@@ -240,6 +237,7 @@ BENCHMARK(Ablation_NapiVsOldApi)
     ->Arg(1)
     ->ArgNames({"napi"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_ChecksumOffload)
@@ -247,6 +245,7 @@ BENCHMARK(Ablation_ChecksumOffload)
     ->Arg(1)
     ->ArgNames({"offload"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_Tso)
@@ -254,6 +253,7 @@ BENCHMARK(Ablation_Tso)
     ->Arg(1)
     ->ArgNames({"tso"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_SwsRounding)
@@ -261,6 +261,7 @@ BENCHMARK(Ablation_SwsRounding)
     ->Arg(0)
     ->ArgNames({"round"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 BENCHMARK(Ablation_Timestamps)
@@ -268,6 +269,7 @@ BENCHMARK(Ablation_Timestamps)
     ->Arg(0)
     ->ArgNames({"timestamps"})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 XGBE_BENCH_MAIN();

@@ -10,9 +10,14 @@
 //
 // Thread count comes from XGBE_SWEEP_THREADS (0/unset = hardware
 // concurrency); set it to 1 to force the serial path.
+//
+// timed_sweep also times each point inside its worker, so a benchmark row
+// can report its own point's host time (UseManualTime + SetIterationTime)
+// instead of charging the whole grid to whichever row computed it first.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -83,6 +88,26 @@ auto parallel_sweep(const std::vector<Point>& points, Fn fn,
   for (auto& w : workers) w.join();
   if (error) std::rethrow_exception(error);
   return results;
+}
+
+/// One sweep point's result and the host seconds its worker spent on it.
+template <typename Result>
+struct Timed {
+  Result value{};
+  double seconds = 0.0;
+};
+
+/// parallel_sweep with every point timed on the thread that computes it.
+template <typename Point, typename Fn>
+auto timed_sweep(const std::vector<Point>& points, Fn fn) {
+  using Clock = std::chrono::steady_clock;
+  using Result = std::invoke_result_t<Fn&, const Point&>;
+  return parallel_sweep(points, [&fn](const Point& p) {
+    const Clock::time_point t0 = Clock::now();
+    Timed<Result> t{fn(p), 0.0};
+    t.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    return t;
+  });
 }
 
 }  // namespace xgbe::bench

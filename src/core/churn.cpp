@@ -125,14 +125,8 @@ struct Driver {
 
     ep.on_established = [this, c]() {
       c->established = true;
-      // Queue the whole flow as blocking writes; chunks respect the
-      // per-write sndbuf ceiling.
-      std::uint32_t remaining = c->bytes;
-      while (remaining > 0) {
-        const std::uint32_t chunk = std::min(remaining, client_cfg.sndbuf);
-        c->ep->app_send(chunk, nullptr);
-        remaining -= chunk;
-      }
+      // Queue the whole flow as one blocking write.
+      if (c->bytes > 0) c->ep->app_send(c->bytes, nullptr);
     };
     ep.on_all_acked = [this, c]() {
       // Fires on every full drain (including window-update ACKs before any

@@ -431,6 +431,14 @@ std::uint32_t Endpoint::record_truesize(std::uint32_t bytes) const {
 }
 
 void Endpoint::app_send(std::uint32_t bytes, std::function<void()> admitted) {
+  // A blocking write() larger than the send buffer copies in as ACKs free
+  // space: queue it as records of at most sndbuf bytes, with the caller's
+  // continuation on the last one.
+  for (; bytes > config_.sndbuf && config_.sndbuf > 0;
+       bytes -= config_.sndbuf) {
+    pending_writes_.push_back(
+        PendingWrite{config_.sndbuf, nullptr, sim_.now()});
+  }
   assert(bytes > 0 && bytes <= config_.sndbuf);
   pending_writes_.push_back(
       PendingWrite{bytes, std::move(admitted), sim_.now()});

@@ -144,8 +144,9 @@ class Endpoint {
   }
 
   // --- Application interface ----------------------------------------------
-  /// One application write of `bytes` (<= sndbuf). `admitted` fires once
-  /// the data has been copied into the socket (blocking-write semantics).
+  /// One application write of `bytes`. `admitted` fires once the data has
+  /// been copied into the socket (blocking-write semantics); a write larger
+  /// than sndbuf is copied in sndbuf-sized pieces as ACKs free space.
   void app_send(std::uint32_t bytes, std::function<void()> admitted);
 
   /// Fires whenever every byte written so far has been acknowledged.

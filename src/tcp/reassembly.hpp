@@ -11,13 +11,24 @@ namespace xgbe::net {}  // forward-include convenience
 
 namespace xgbe::tcp {
 
-/// Orders sequence numbers with RFC 793 wraparound comparison.
+/// Orders sequence numbers with RFC 793 wraparound comparison. This is a
+/// strict weak order only over values that lie within 2^31 of each other;
+/// Reassembly keeps its keys inside that span (see below).
 struct SeqLess {
   bool operator()(net::Seq a, net::Seq b) const { return net::seq_lt(a, b); }
 };
 
 /// Tracks the receive sequence space: rcv_nxt plus an out-of-order range
 /// set. Payload bytes are counted, not stored.
+///
+/// Cost: offer() and is_duplicate() take O(log R) for R held ranges (one
+/// map lookup, plus the ranges an insert coalesces); an in-order offer also
+/// drains the ranges it makes contiguous, O(1) amortized per range.
+///
+/// Precondition: every held range and every offered or probed segment lies
+/// within 2^31 of rcv_nxt, so SeqLess totally orders them. The receive
+/// window (at most 2^30 with window scaling) guarantees this for segments
+/// the endpoint accepts.
 class Reassembly {
  public:
   explicit Reassembly(net::Seq initial_rcv_nxt = 0)

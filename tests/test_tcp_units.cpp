@@ -2,6 +2,9 @@
 // window advertising, reassembly.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "sim/random.hpp"
 #include "tcp/cwnd.hpp"
 #include "tcp/reassembly.hpp"
@@ -245,6 +248,161 @@ TEST_P(ReassemblyShuffle, AllBytesDeliveredExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyShuffle,
                          ::testing::Values(1u, 7u, 42u, 99u, 1234u, 9999u));
+
+// Differential test: Reassembly against a naive byte-set model. Offsets are
+// relative to the initial rcv_nxt, which sits just below 2^32 so the held
+// ranges wrap the sequence space. Segments overlap, repeat exactly, straddle
+// rcv_nxt and can be empty; every step compares every observable.
+class ByteSetModel {
+ public:
+  // Marks [off, off + len) received and returns the bytes newly in order.
+  std::uint32_t offer(std::uint64_t off, std::uint32_t len) {
+    if (off + len > got_.size()) got_.resize(off + len, false);
+    for (std::uint64_t i = off; i < off + len; ++i) got_[i] = true;
+    const std::uint64_t before = next_;
+    while (next_ < got_.size() && got_[next_]) ++next_;
+    return static_cast<std::uint32_t>(next_ - before);
+  }
+  bool received(std::uint64_t off) const {
+    return off < next_ || (off < got_.size() && got_[off]);
+  }
+  // Every byte already received; an empty segment counts as duplicate when
+  // it sits at or below next, or inside or at either edge of a held range.
+  bool is_duplicate(std::uint64_t off, std::uint32_t len) const {
+    if (len == 0) {
+      return off <= next_ || received(off) || received(off - 1);
+    }
+    for (std::uint64_t i = off; i < off + len; ++i) {
+      if (!received(i)) return false;
+    }
+    return true;
+  }
+  std::uint64_t next() const { return next_; }
+  std::uint32_t ooo_bytes() const {
+    std::uint32_t n = 0;
+    for (std::uint64_t i = next_; i < got_.size(); ++i) n += got_[i] ? 1 : 0;
+    return n;
+  }
+  std::size_t ooo_ranges() const {
+    std::size_t n = 0;
+    for (std::uint64_t i = next_; i < got_.size(); ++i) {
+      if (got_[i] && !got_[i - 1]) ++n;
+    }
+    return n;
+  }
+
+ private:
+  std::vector<bool> got_;
+  std::uint64_t next_ = 0;
+};
+
+class ReassemblyDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReassemblyDifferential, MatchesByteSetModel) {
+  sim::Rng rng(GetParam());
+  constexpr net::Seq kBase = 0xFFFFFFFFu - 20000;  // wraps within ~10 steps
+  constexpr std::uint64_t kWindow = 8000;
+  constexpr std::uint64_t kBehind = 3000;
+  Reassembly r(kBase);
+  ByteSetModel model;
+  std::uint64_t last_off = 0;
+  std::uint32_t last_len = 0;
+  for (int step = 0; step < 3000; ++step) {
+    std::uint64_t off = 0;
+    std::uint32_t len = 0;
+    const std::uint64_t lo =
+        model.next() > kBehind ? model.next() - kBehind : 0;
+    const std::uint64_t pick = rng.next_below(8);
+    if (pick == 0) {  // exact duplicate of the previous segment
+      off = last_off;
+      len = last_len;
+    } else if (pick == 1) {  // empty segment
+      off = lo + rng.next_below(model.next() - lo + kWindow);
+    } else if (pick == 2) {  // in order, possibly straddling rcv_nxt
+      off = model.next() - rng.next_below(model.next() - lo + 1);
+      len = static_cast<std::uint32_t>(1 + rng.next_below(1500));
+    } else {
+      off = lo + rng.next_below(model.next() - lo + kWindow);
+      len = static_cast<std::uint32_t>(1 + rng.next_below(1500));
+    }
+    last_off = off;
+    last_len = len;
+    const net::Seq seq = kBase + static_cast<net::Seq>(off);
+    const bool dup = r.is_duplicate(seq, len);
+    ASSERT_EQ(dup, model.is_duplicate(off, len))
+        << "step " << step << " off " << off << " len " << len;
+    ASSERT_EQ(r.offer(seq, len), model.offer(off, len)) << "step " << step;
+    ASSERT_EQ(r.rcv_nxt(), kBase + static_cast<net::Seq>(model.next()));
+    ASSERT_EQ(r.ooo_bytes(), model.ooo_bytes()) << "step " << step;
+    ASSERT_EQ(r.ooo_ranges(), model.ooo_ranges()) << "step " << step;
+    ASSERT_EQ(r.invariant_violation(), "") << "step " << step;
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::uint64_t lo =
+          model.next() > kBehind ? model.next() - kBehind : 0;
+      const std::uint64_t poff = lo + rng.next_below(model.next() - lo + kWindow);
+      const auto plen = static_cast<std::uint32_t>(rng.next_below(1500));
+      ASSERT_EQ(r.is_duplicate(kBase + static_cast<net::Seq>(poff), plen),
+                model.is_duplicate(poff, plen))
+          << "step " << step << " probe off " << poff << " len " << plen;
+    }
+  }
+  // The run really crossed 2^32 and held ranges along the way.
+  EXPECT_GT(model.next(), 0xFFFFFFFFu - kBase);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyDifferential,
+                         ::testing::Values(3u, 17u, 256u, 4099u));
+
+// Stress: a mass-loss burst leaves ~7k alternating holes (the peak the
+// oversized-buffer WAN counterfactual reaches), which are then filled in
+// random order. Every fill merges two held ranges or drains a run in order.
+TEST(Reassembly, SevenThousandHolesFilledInRandomOrder) {
+  constexpr std::uint32_t kHoles = 7107;
+  constexpr std::uint32_t kLen = 1448;
+  constexpr std::uint32_t kSlot = 2 * kLen;  // hole then held segment
+  // Start so the held ranges wrap the sequence space halfway through.
+  const net::Seq base = 0u - (kHoles / 2) * kSlot;
+  Reassembly r(base);
+  for (std::uint32_t i = 0; i < kHoles; ++i) {
+    ASSERT_EQ(r.offer(base + i * kSlot + kLen, kLen), 0u);
+  }
+  ASSERT_EQ(r.ooo_ranges(), kHoles);
+  ASSERT_EQ(r.ooo_bytes(), kHoles * kLen);
+  ASSERT_EQ(r.invariant_violation(), "");
+
+  sim::Rng rng(2004);
+  std::vector<std::uint32_t> order(kHoles);
+  for (std::uint32_t i = 0; i < kHoles; ++i) order[i] = i;
+  for (std::uint32_t i = kHoles - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  }
+  std::set<std::uint32_t> open(order.begin(), order.end());
+  std::uint64_t delivered = 0;
+  for (std::size_t step = 0; step < order.size(); ++step) {
+    const std::uint32_t hole = order[step];
+    const net::Seq seq = base + hole * kSlot;
+    ASSERT_FALSE(r.is_duplicate(seq, kLen));
+    ASSERT_TRUE(r.is_duplicate(seq + kLen, kLen));  // the held neighbour
+    const bool at_front = hole == *open.begin();
+    open.erase(hole);
+    // Filling the front hole drains through the next open one; any other
+    // fill bridges the two held ranges around it.
+    const std::uint32_t stop = open.empty() ? kHoles : *open.begin();
+    const std::uint32_t expect = at_front ? (stop - hole) * kSlot : 0;
+    ASSERT_EQ(r.offer(seq, kLen), expect) << "hole " << hole;
+    delivered += expect;
+    ASSERT_TRUE(r.is_duplicate(seq, kLen));
+    ASSERT_EQ(r.ooo_ranges(), open.size()) << "hole " << hole;
+    if (step % 512 == 0) {
+      ASSERT_EQ(r.invariant_violation(), "");
+    }
+  }
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kHoles) * kSlot);
+  EXPECT_EQ(r.rcv_nxt(), base + kHoles * kSlot);
+  EXPECT_EQ(r.ooo_bytes(), 0u);
+  EXPECT_EQ(r.invariant_violation(), "");
+}
 
 // Property: window rounding loses less than one MSS, never goes negative,
 // and is idempotent.
