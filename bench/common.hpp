@@ -17,6 +17,7 @@
 #include <memory>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "fault/fault.hpp"
 #include "link/wan.hpp"
 #include "obs/registry.hpp"
+#include "obs/scrape.hpp"
 #include "obs/span.hpp"
 #include "tools/iperf.hpp"
 #include "tools/netpipe.hpp"
@@ -117,23 +119,15 @@ class ResultLog {
     snapshots_.emplace_back(label, snap.to_json());
   }
 
-  /// Records a span-profiler stage breakdown under `label` (schema v2).
+  /// Records a span-profiler stage breakdown under `label`.
   void add_breakdown(const std::string& label, const obs::SpanBreakdown& b) {
     if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mu_);
     breakdowns_.emplace_back(label, obs::breakdown_json(b));
   }
 
-  /// Records a flow-sampler time series under `label` (schema v2).
-  void add_timeseries(const std::string& label,
-                      const obs::FlowSampler& sampler) {
-    if (!enabled()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    timeseries_.emplace_back(label, obs::series_json(sampler));
-  }
-
   /// Records a metric-scraper capture plus its detector episodes under
-  /// `label` (schema v3). `scrape_json` is MetricScraper::scrape_json();
+  /// `label`. `scrape_json` is MetricScraper::scrape_json();
   /// `episodes_json` is obs::detect::episodes_json() (pass "[]" when no
   /// detectors ran).
   void add_scrape(const std::string& label, const std::string& scrape_json,
@@ -151,9 +145,8 @@ class ResultLog {
     std::lock_guard<std::mutex> lock(mu_);
     std::sort(snapshots_.begin(), snapshots_.end());
     std::sort(breakdowns_.begin(), breakdowns_.end());
-    std::sort(timeseries_.begin(), timeseries_.end());
     std::sort(scrapes_.begin(), scrapes_.end());
-    std::string out = "{\"schema\":\"xgbe-bench/3\",\"binary\":\"" +
+    std::string out = "{\"schema\":\"xgbe-bench/4\",\"binary\":\"" +
                       obs::json_escape(binary_) + "\",";
     if (!meta_.empty()) {
       out += "\"meta\":{";
@@ -197,14 +190,6 @@ class ResultLog {
       out += "{\"label\":\"" + obs::json_escape(label) +
              "\",\"breakdown\":" + json + "}";
     }
-    out += "],\"timeseries\":[";
-    first = true;
-    for (const auto& [label, json] : timeseries_) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"label\":\"" + obs::json_escape(label) +
-             "\",\"series\":" + json + "}";
-    }
     out += "],\"scrapes\":[";
     first = true;
     for (const auto& [label, json] : scrapes_) {
@@ -240,7 +225,6 @@ class ResultLog {
   std::vector<Point> points_;
   std::vector<std::pair<std::string, std::string>> snapshots_;
   std::vector<std::pair<std::string, std::string>> breakdowns_;
-  std::vector<std::pair<std::string, std::string>> timeseries_;
   std::vector<std::pair<std::string, std::string>> scrapes_;
 };
 
@@ -365,7 +349,7 @@ inline tools::NetpipeResult netpipe_pair(const hw::SystemSpec& sys,
                                          bool through_switch,
                                          obs::SpanProfiler* spans = nullptr) {
   core::Testbed tb;
-  if (spans != nullptr) tb.set_span_profiler(spans);
+  tb.set_taps({nullptr, spans});
   auto cc_tuning = tuning;
   apply_cc(cc_tuning);
   auto& a = tb.add_host("a", sys, cc_tuning);
@@ -477,21 +461,42 @@ struct WanRun {
   std::uint64_t circuit_drops = 0;
   fault::FaultCounters faults;  // injected faults across all circuits
   double rtt_ms = 0.0;
+  /// The primary stream's congestion state at every series boundary (see
+  /// register_congestion_probes); empty when no series was asked for.
+  obs::TimeSeriesStore series;
+  /// MetricScraper::scrape_json() of the same capture, for add_scrape().
+  std::string scrape_json;
 };
+
+/// Registers one stream's congestion state — the cwnd evolution the paper
+/// reads off its WAN runs — as gauges on `reg`: cwnd_segments,
+/// ssthresh_segments, flight_bytes, rwnd_bytes, srtt_ps and cc_state. A
+/// scraper stores gauges as llround(value * 1000), exact for all six.
+inline void register_congestion_probes(obs::Registry& reg,
+                                       const tcp::Endpoint& ep) {
+  auto gauge = [&reg](const char* name, auto probe) {
+    reg.gauge(name, [probe] { return static_cast<double>(probe()); });
+  };
+  gauge("cwnd_segments", [&ep] { return ep.cwnd_segments(); });
+  gauge("ssthresh_segments", [&ep] { return ep.ssthresh(); });
+  gauge("flight_bytes", [&ep] { return ep.flight_bytes(); });
+  gauge("rwnd_bytes", [&ep] { return ep.peer_window(); });
+  gauge("srtt_ps", [&ep] { return ep.srtt(); });
+  gauge("cc_state", [&ep] { return ep.cc_state(); });
+}
 
 /// `fault` (when active) is installed on the transatlantic OC-48 — the
 /// bottleneck circuit — modelling the bursty loss and reordering real
-/// transcontinental paths exhibit. `sampler` (optional) records the primary
-/// stream's cwnd/srtt evolution; it is stopped before the testbed is torn
-/// down so its timer never outlives the simulator.
+/// transcontinental paths exhibit. A positive `series_period` scrapes the
+/// primary stream's congestion state at that cadence into WanRun::series;
+/// the scraper schedules nothing, so the run is bit-identical either way.
 inline WanRun wan_run(std::uint32_t buffer_bytes,
                       sim::SimTime warmup = sim::sec(8),
                       sim::SimTime duration = sim::sec(4),
                       int streams = 1,
                       const fault::FaultPlan& fault = {},
-                      obs::FlowSampler* sampler = nullptr) {
+                      sim::SimTime series_period = 0) {
   core::Testbed tb;
-  if (sampler != nullptr) tb.set_flow_sampler(sampler);
   auto tuning = core::TuningProfile::wan(buffer_bytes);
   apply_cc(tuning);
   auto& a = tb.add_host("sunnyvale", hw::presets::wan_endpoint(), tuning);
@@ -507,6 +512,16 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
   auto cfg = tools::iperf_config(a.endpoint_config());
   cfg.read_chunk = 1 << 20;
   auto conn = tb.open_connection(a, b, cfg, cfg);
+  // Armed at time zero, so the boundaries fall at series_period, 2x, ...
+  obs::Registry congestion;
+  std::optional<obs::MetricScraper> scraper;
+  if (series_period > 0) {
+    register_congestion_probes(congestion, *conn.client);
+    obs::ScrapeOptions so;
+    so.period = series_period;
+    scraper.emplace(congestion, so);
+    tb.set_metric_scraper(&*scraper);
+  }
   // Additional parallel streams (the multi-stream LSR variant).
   std::vector<core::Testbed::Connection> extra;
   auto consumed_extra = std::make_shared<std::uint64_t>(0);
@@ -548,9 +563,11 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
     e.server->on_consumed = nullptr;
   }
   run.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
-  // The sampler's probes point at endpoints owned by this testbed; stop it
-  // here so its timer (and any future tick) dies with the run.
-  if (sampler != nullptr) sampler->stop();
+  if (scraper) {
+    tb.set_metric_scraper(nullptr);
+    run.series = scraper->store();
+    run.scrape_json = scraper->scrape_json();
+  }
   for (auto* c : circuits) {
     run.circuit_drops += c->drops_queue();
     run.faults += c->fault_counters();

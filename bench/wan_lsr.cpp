@@ -15,17 +15,39 @@
 
 namespace {
 
+/// One CSV row per scrape boundary of a register_congestion_probes capture
+/// (the record stream is the testbed's first flow).
+std::string congestion_csv(const xgbe::obs::TimeSeriesStore& store) {
+  const char* const columns[] = {"cwnd_segments", "ssthresh_segments",
+                                 "flight_bytes",  "srtt_ps",
+                                 "rwnd_bytes",    "cc_state"};
+  std::vector<std::vector<xgbe::obs::SeriesPoint>> series;
+  for (const char* column : columns) series.push_back(store.points(column));
+  std::string out =
+      "at_ps,flow,cwnd_segments,ssthresh_segments,flight_bytes,srtt_us,"
+      "rwnd_bytes,cc_state\n";
+  for (std::size_t i = 0; i < series[0].size(); ++i) {
+    // Gauges are stored in milli-units; every probe here is an integer.
+    auto value = [&](std::size_t c) { return series[c][i].value / 1000; };
+    out += std::to_string(series[0][i].at) + ",1," +
+           std::to_string(value(0)) + "," + std::to_string(value(1)) + "," +
+           std::to_string(value(2)) + "," +
+           xgbe::obs::format_double(xgbe::sim::to_microseconds(value(3))) +
+           "," + std::to_string(value(4)) + "," + std::to_string(value(5)) +
+           "\n";
+  }
+  return out;
+}
+
 void Wan_LandSpeedRecord(benchmark::State& state) {
-  // Sample the record stream's congestion state four times a second: the
+  // Scrape the record stream's congestion state four times a second: the
   // time series shows slow start ramping and then cwnd pinned flat by the
   // flow window — the "implicit cap" the paper credits for the record.
-  xgbe::obs::FlowSampler sampler(xgbe::sim::msec(250));
   xgbe::bench::WanRun run;
   for (auto _ : state) {
-    sampler.reset();
     run = xgbe::bench::wan_run(80u * 1024 * 1024, xgbe::sim::sec(8),
                                xgbe::sim::sec(4), /*streams=*/1, {},
-                               &sampler);
+                               xgbe::sim::msec(250));
   }
   const double gbps = run.result.throughput_gbps();
   state.counters["Gb/s"] = gbps;
@@ -35,17 +57,15 @@ void Wan_LandSpeedRecord(benchmark::State& state) {
   state.counters["efficiency"] = gbps / 2.40;
   // Hours to move one terabyte at the achieved rate.
   state.counters["TB_hours"] = gbps > 0 ? 8e12 / (gbps * 1e9) / 3600.0 : 0.0;
-  state.counters["cwnd_samples"] =
-      static_cast<double>(sampler.rows().size());
-  std::uint32_t cwnd_peak = 0;
-  for (const auto& row : sampler.rows()) {
-    cwnd_peak = std::max(cwnd_peak, row.sample.cwnd_segments);
-  }
+  const auto cwnd = run.series.points("cwnd_segments");
+  state.counters["cwnd_samples"] = static_cast<double>(cwnd.size());
+  std::int64_t cwnd_peak = 0;
+  for (const auto& p : cwnd) cwnd_peak = std::max(cwnd_peak, p.value / 1000);
   state.counters["cwnd_peak_segments"] = static_cast<double>(cwnd_peak);
   std::printf("\ncwnd time series (250 ms cadence):\n%s",
-              sampler.to_csv().c_str());
-  xgbe::bench::ResultLog::instance().add_timeseries(
-      xgbe::bench::point_name("Wan_LandSpeedRecord"), sampler);
+              congestion_csv(run.series).c_str());
+  xgbe::bench::ResultLog::instance().add_scrape(
+      xgbe::bench::point_name("Wan_LandSpeedRecord"), run.scrape_json, "[]");
   xgbe::bench::log_point(state,
                          xgbe::bench::point_name("Wan_LandSpeedRecord"));
 }

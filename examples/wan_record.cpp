@@ -3,16 +3,14 @@
 // Chicago and the transatlantic LHCnet OC-48 — plus the counterfactual the
 // paper warns about (oversized buffers -> congestion loss -> AIMD collapse).
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
-#include <utility>
 
 #include "analysis/aimd.hpp"
 #include "analysis/bdp.hpp"
 #include "core/testbed.hpp"
-#include "sim/recorder.hpp"
 #include "link/wan.hpp"
+#include "obs/registry.hpp"
+#include "obs/scrape.hpp"
 #include "tools/iperf.hpp"
 
 namespace {
@@ -22,7 +20,8 @@ struct WanOutcome {
   double rtt_ms = 0.0;
   std::uint64_t retransmits = 0;
   std::uint64_t drops = 0;
-  std::vector<std::pair<xgbe::sim::SimTime, double>> cwnd_timeline;
+  // Segments, in the scraper's milli-units for gauges.
+  std::vector<xgbe::obs::SeriesPoint> cwnd_timeline;
 };
 
 WanOutcome run_wan(std::uint32_t buffer_bytes) {
@@ -42,24 +41,30 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
   cfg.read_chunk = 1 << 20;
   auto conn = tb.open_connection(sunnyvale, geneva, cfg, cfg);
 
-  sim::Recorder cwnd(tb.simulator(), sim::msec(500), [&conn]() {
+  // The scraper reads cwnd at every 500 ms boundary without scheduling an
+  // event, so the run is the same one an unobserved transfer would make.
+  obs::Registry probes;
+  probes.gauge("cwnd", [&conn] {
     return static_cast<double>(conn.client->cwnd_segments());
   });
-  cwnd.start();
+  obs::ScrapeOptions so;
+  so.period = sim::msec(500);
+  obs::MetricScraper cwnd(probes, so);
+  tb.set_metric_scraper(&cwnd);
 
   tools::IperfOptions opt;
   opt.write_size = 256 * 1024;
   opt.warmup = sim::sec(8);    // slow start needs ~45 RTTs at 176 ms
   opt.duration = sim::sec(4);  // steady-state measurement window
   const auto r = tools::run_iperf(tb, conn, sunnyvale, geneva, opt);
-  cwnd.stop();
+  tb.set_metric_scraper(nullptr);
 
   WanOutcome out;
   out.gbps = r.throughput_gbps();
   out.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
   out.retransmits = conn.client->stats().retransmits;
   for (auto* c : circuits) out.drops += c->drops_queue();
-  out.cwnd_timeline = cwnd.samples();
+  out.cwnd_timeline = cwnd.store().points("cwnd");
   return out;
 }
 
@@ -83,9 +88,9 @@ int main() {
   }
   std::printf("  slow-start trajectory (cwnd in segments):\n    ");
   for (std::size_t i = 0; i < good.cwnd_timeline.size() && i < 16; i += 2) {
-    std::printf("%.1fs:%.0f  ",
-                xgbe::sim::to_seconds(good.cwnd_timeline[i].first),
-                good.cwnd_timeline[i].second);
+    std::printf("%.1fs:%lld  ",
+                xgbe::sim::to_seconds(good.cwnd_timeline[i].at),
+                static_cast<long long>(good.cwnd_timeline[i].value / 1000));
   }
   std::printf("\n");
 

@@ -12,7 +12,7 @@ The simulator is deterministic, so the default tolerances are tight
 measurement was noisy. Loosen the tolerances when diffing across intentional
 model changes to see the magnitude of every shift.
 
-Time-resolved telemetry (schema xgbe-bench/3) is diffed structurally, not
+Time-resolved telemetry (the "scrapes" section) is diffed structurally, not
 point-by-point: scrape entries are matched by label, and a matched entry
 must agree on series count, total point count, and a canonical-JSON
 fingerprint of the series data and the detector episodes. Entries that
@@ -159,7 +159,7 @@ def diff(baseline, current, rel_tol, abs_tol, out=sys.stdout):
 def self_test():
     """Exercises the matcher without touching the filesystem."""
     baseline = {
-        "schema": "xgbe-bench/2",
+        "schema": "xgbe-bench/4",
         "binary": "fig6",
         "points": [
             {"name": "a", "counters": {"latency_us": 18.2087, "rtt_us": 36.4174}},
@@ -201,9 +201,8 @@ def self_test():
     assert diff(baseline, additive, 1e-6, 1e-9, out=io.StringIO()) == 0, \
         "additive growth must be allowed"
 
-    # --- structural scrape diff (schema xgbe-bench/3) ---------------------
+    # --- structural scrape diff -------------------------------------------
     scraped = copy.deepcopy(baseline)
-    scraped["schema"] = "xgbe-bench/3"
     scraped["scrapes"] = [{
         "label": "a",
         "scrape": {

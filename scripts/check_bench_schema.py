@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Validate a bench --json result log against the xgbe-bench contract.
 
-Accepts all schema versions: "xgbe-bench/1" (points + snapshots),
-"xgbe-bench/2", which adds span-profiler stage breakdowns and flow-sampler
-time series, and "xgbe-bench/3", which adds metric-scraper captures
-(per-series integer points plus detector episodes) under "scrapes". For v2+
-the validator also enforces the telescoping-ledger invariant: every
-breakdown's stage total_ps values must sum *exactly* to its end_to_end
-total_ps. For v3 it checks every scrape series' points are time-monotone
-integer pairs and every episode carries a coherent (onset, clear) window.
+Accepts schema "xgbe-bench/4" only: points, registry snapshots,
+span-profiler stage breakdowns, and metric-scraper captures (per-series
+integer points plus detector episodes) under "scrapes". The validator also
+enforces the telescoping-ledger invariant — every breakdown's stage total_ps
+values must sum *exactly* to its end_to_end total_ps — and checks every
+scrape series' points are time-monotone integer pairs and every episode
+carries a coherent (onset, clear) window.
 
 Stdlib-only (no jsonschema dependency): this script hand-implements the
 checks that bench/results.schema.json documents, so CI can run it on a
@@ -22,12 +21,12 @@ import sys
 
 NUMERIC_SENTINELS = {"nan", "inf", "-inf"}
 METRIC_KINDS = {"counter", "gauge", "distribution"}
-SCHEMAS = {"xgbe-bench/1", "xgbe-bench/2", "xgbe-bench/3"}
+SCHEMA = "xgbe-bench/4"
+TOP_LEVEL_KEYS = {"schema", "binary", "meta", "points", "snapshots",
+                  "breakdowns", "scrapes"}
 SCRAPE_UNITS = {"count", "milli"}
 STAGES = ["app-write", "sockbuf", "tx-ring", "tx-dma", "wire", "switch-queue",
           "rx-ring", "intr-coalesce", "rx-stack", "app-read"]
-SERIES_COLUMNS = ["at_ps", "flow", "cwnd_segments", "ssthresh_segments",
-                  "flight_bytes", "srtt_us", "rwnd_bytes", "cc_state"]
 # meta["cc"] appears only for non-default runs (--cc / XGBE_CC); when
 # present it must name a known congestion-control algorithm.
 CC_ALGORITHMS = {"newreno", "cubic", "dctcp"}
@@ -110,35 +109,6 @@ def _check_breakdown(errors, where, entry):
              f"end_to_end.total_ps={e2e['total_ps']}")
 
 
-def _check_series(errors, where, entry):
-    if not isinstance(entry, dict):
-        _err(errors, where, "must be an object")
-        return
-    if not isinstance(entry.get("label"), str) or not entry.get("label"):
-        _err(errors, where, "missing non-empty 'label'")
-    series = entry.get("series")
-    if not isinstance(series, dict):
-        _err(errors, where, "missing 'series' object")
-        return
-    interval = series.get("interval_ps")
-    if not isinstance(interval, int) or isinstance(interval, bool) or interval < 1:
-        _err(errors, f"{where}.series.interval_ps", "must be a positive integer")
-    if series.get("columns") != SERIES_COLUMNS:
-        _err(errors, f"{where}.series.columns",
-             f"must be exactly {SERIES_COLUMNS}")
-    rows = series.get("rows")
-    if not isinstance(rows, list):
-        _err(errors, f"{where}.series.rows", "must be an array")
-        return
-    for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(SERIES_COLUMNS):
-            _err(errors, f"{where}.series.rows[{j}]",
-                 f"must be an array of {len(SERIES_COLUMNS)} numbers")
-            continue
-        for k, value in enumerate(row):
-            _check_number(errors, f"{where}.series.rows[{j}][{k}]", value)
-
-
 def _check_scrape(errors, where, entry):
     if not isinstance(entry, dict):
         _err(errors, where, "must be an object")
@@ -217,11 +187,12 @@ def validate(doc):
     if not isinstance(doc, dict):
         return ["top level must be an object"]
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        _err(errors, "schema",
-             f"expected one of {sorted(SCHEMAS)}, got {schema!r}")
+    if schema != SCHEMA:
+        _err(errors, "schema", f"expected {SCHEMA!r}, got {schema!r}")
     if not isinstance(doc.get("binary"), str) or not doc.get("binary"):
         _err(errors, "binary", "must be a non-empty string")
+    for key in sorted(set(doc) - TOP_LEVEL_KEYS):
+        _err(errors, key, "unknown top-level key")
 
     # Optional run-environment facts (e.g. XGBE_SHARD_THREADS). Emitted only
     # when the run recorded at least one, so its absence is fine.
@@ -283,21 +254,17 @@ def validate(doc):
         for j, metric in enumerate(metrics):
             _check_metric(errors, f"{where}.snapshot.metrics[{j}]", metric)
 
-    if schema in ("xgbe-bench/2", "xgbe-bench/3"):
-        checkers = [("breakdowns", _check_breakdown),
-                    ("timeseries", _check_series)]
-        if schema == "xgbe-bench/3":
-            checkers.append(("scrapes", _check_scrape))
-        for key, checker in checkers:
-            entries = doc.get(key)
-            if not isinstance(entries, list):
-                _err(errors, key, "must be an array (required in this schema)")
-                continue
-            labels = [e.get("label") for e in entries if isinstance(e, dict)]
-            if labels != sorted(labels):
-                _err(errors, key, "labels must be sorted (determinism contract)")
-            for i, entry in enumerate(entries):
-                checker(errors, f"{key}[{i}]", entry)
+    for key, checker in (("breakdowns", _check_breakdown),
+                         ("scrapes", _check_scrape)):
+        entries = doc.get(key)
+        if not isinstance(entries, list):
+            _err(errors, key, "must be an array")
+            continue
+        labels = [e.get("label") for e in entries if isinstance(e, dict)]
+        if labels != sorted(labels):
+            _err(errors, key, "labels must be sorted (determinism contract)")
+        for i, entry in enumerate(entries):
+            checker(errors, f"{key}[{i}]", entry)
     return errors
 
 
@@ -323,11 +290,9 @@ def main(argv):
             npoints = len(doc.get("points", []))
             nsnaps = len(doc.get("snapshots", []))
             nbreak = len(doc.get("breakdowns", []))
-            nseries = len(doc.get("timeseries", []))
             nscrapes = len(doc.get("scrapes", []))
             print(f"{filename}: OK ({npoints} points, {nsnaps} snapshots, "
-                  f"{nbreak} breakdowns, {nseries} timeseries, "
-                  f"{nscrapes} scrapes)")
+                  f"{nbreak} breakdowns, {nscrapes} scrapes)")
     return 1 if failed else 0
 
 

@@ -33,7 +33,6 @@ struct Options {
   /// and must not depend on the partition).
   fault::FaultPlan link_fault;
   /// Per-shard trace sinks (size must equal `shards`; empty = no tracing).
-  /// Armed before the topology is built so links record per direction too.
   std::vector<obs::TraceSink*> shard_traces;
 };
 

@@ -7,12 +7,13 @@ namespace xgbe::core {
 
 Host::Host(sim::Simulator& simulator, const hw::SystemSpec& system,
            const TuningProfile& tuning, const nic::AdapterSpec& adapter,
-           net::NodeId node, std::string name)
+           net::NodeId node, std::string name, const obs::Taps* taps)
     : sim_(simulator),
       name_(std::move(name)),
       node_(node),
       system_(system),
-      tuning_(tuning) {
+      tuning_(tuning),
+      taps_(taps) {
   os::KernelConfig kc;
   kc.mode = tuning.kernel;
   kc.rx_api = tuning.rx_api;
@@ -22,6 +23,7 @@ Host::Host(sim::Simulator& simulator, const hw::SystemSpec& system,
   kc.header_splitting = tuning.header_splitting;
   kernel_ = std::make_unique<os::Kernel>(simulator, system_, kc);
   kernel_->set_host_faults(&host_faults_);
+  kernel_->set_taps(taps_, node_);
   add_adapter(adapter);
 }
 
@@ -39,8 +41,7 @@ std::size_t Host::add_adapter(const nic::AdapterSpec& spec) {
       name_ + "/eth" + std::to_string(index)));
   nic::Adapter* raw = adapters_.back().get();
   raw->set_host_faults(&host_faults_);
-  if (trace_) raw->set_trace(trace_, node_);
-  if (spans_) raw->set_span_profiler(spans_);
+  raw->set_taps(taps_, node_);
   raw->set_rx_handler([this, raw](net::PacketBatch batch) {
     kernel_->rx_interrupt(std::move(batch), raw->spec().csum_offload,
                           [this](const net::Packet& pkt) { demux(pkt); });
@@ -84,8 +85,7 @@ tcp::Endpoint& Host::create_endpoint(const tcp::EndpointConfig& config,
       if (conn_table_.erase(remote, flow, ep)) ++conn_closes_;
     });
   }
-  if (trace_) ep->set_trace(trace_);
-  if (spans_) ep->set_span_profiler(spans_);
+  ep->set_taps(taps_);
   return *ep;
 }
 
@@ -108,24 +108,9 @@ tcp::Listener& Host::listen(const tcp::ListenerConfig& config,
   // listeners keep their counters but are not re-registered.
   if (listener_) retired_listeners_.push_back(std::move(listener_));
   listener_ = std::make_unique<tcp::Listener>(sim_, config, std::move(hooks));
-  if (trace_) listener_->set_trace(trace_);
+  listener_->set_taps(taps_);
   lifecycle_metrics_ = true;
   return *listener_;
-}
-
-void Host::set_trace(obs::TraceSink* sink) {
-  trace_ = sink;
-  kernel_->set_trace(sink, node_);
-  for (auto& adapter : adapters_) adapter->set_trace(sink, node_);
-  for (auto& slot : endpoints_) slot.ep->set_trace(sink);
-  if (listener_) listener_->set_trace(sink);
-}
-
-void Host::set_span_profiler(obs::SpanProfiler* spans) {
-  spans_ = spans;
-  kernel_->set_span_profiler(spans);
-  for (auto& adapter : adapters_) adapter->set_span_profiler(spans);
-  for (auto& slot : endpoints_) slot.ep->set_span_profiler(spans);
 }
 
 void Host::register_metrics(obs::Registry& reg,
@@ -179,9 +164,9 @@ void Host::send_rst_for(const net::Packet& in, std::size_t adapter_index) {
                   (in.tcp.flags.syn ? 1 : 0) + (in.tcp.flags.fin ? 1 : 0);
   }
   ++rsts_sent_;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "host",
-                          "no-connection");
+  if (taps_->trace) {
+    taps_->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt, "host",
+                                "no-connection");
   }
   nic::Adapter* out = adapters_.at(adapter_index).get();
   auto rec = emit_rec_pool_.acquire();

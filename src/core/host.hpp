@@ -26,9 +26,12 @@ namespace xgbe::core {
 /// the paper's testbed), and any TCP endpoints living on the host.
 class Host {
  public:
+  /// The kernel, every adapter, endpoint and listener the host ever builds
+  /// record into `taps` (its shard's, see obs::Taps).
   Host(sim::Simulator& simulator, const hw::SystemSpec& system,
        const TuningProfile& tuning, const nic::AdapterSpec& adapter,
-       net::NodeId node, std::string name);
+       net::NodeId node, std::string name,
+       const obs::Taps* taps = &obs::kNoTaps);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -116,14 +119,6 @@ class Host {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink on the kernel, every adapter, and every endpoint —
-  /// existing and future (components created later inherit the sink).
-  void set_trace(obs::TraceSink* sink);
-
-  /// Arms the span profiler the same way (kernel + adapters + endpoints,
-  /// existing and future). Null disarms.
-  void set_span_profiler(obs::SpanProfiler* spans);
-
   /// Registers the whole host under `prefix`: kernel at "/kernel", adapters
   /// at "/nic<i>", endpoints at "/tcp/flow<id>", plus host-fault counters
   /// and demux accounting. Endpoints created after this call are not
@@ -172,8 +167,7 @@ class Host {
   // inline callback buffer); pooled records keep the tx path allocation-free.
   sim::Pool<net::Packet> emit_rec_pool_;
   fault::HostFaultInjector host_faults_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Taps* taps_;
   std::uint64_t frames_demuxed_ = 0;
   std::uint64_t frames_unclaimed_ = 0;
 };

@@ -1,9 +1,9 @@
 #include "core/testbed.hpp"
 
+#include <stdexcept>
+
 #include "obs/registry.hpp"
 #include "obs/scrape.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace xgbe::core {
 
@@ -19,10 +19,9 @@ Host& Testbed::add_host_on(std::size_t shard, const std::string& name,
                            const TuningProfile& tuning,
                            const nic::AdapterSpec& adapter) {
   hosts_.push_back(std::make_unique<Host>(shard_sim(shard), system, tuning,
-                                          adapter, next_node(), name));
+                                          adapter, next_node(), name,
+                                          shard_taps(shard)));
   host_shards_.push_back(shard);
-  if (obs::TraceSink* sink = shard_trace(shard)) hosts_.back()->set_trace(sink);
-  if (spans_) hosts_.back()->set_span_profiler(spans_);
   return *hosts_.back();
 }
 
@@ -38,26 +37,19 @@ static std::size_t index_of(const std::vector<std::unique_ptr<Host>>& hosts,
 link::Link& Testbed::make_link(std::size_t shard_a, std::size_t shard_b,
                                const link::LinkSpec& spec, std::string name) {
   if (engine_) {
-    links_.push_back(std::make_unique<link::Link>(*engine_, shard_a, shard_b,
-                                                  spec, std::move(name)));
+    links_.push_back(std::make_unique<link::Link>(
+        *engine_, shard_a, shard_b, spec, std::move(name),
+        shard_taps(shard_a), shard_taps(shard_b)));
     // The lookahead is the minimum propagation anywhere in the topology —
     // computed over all links, which is always a safe (if conservative)
     // bound for the cross-shard subset.
     min_propagation_ = std::min(min_propagation_, spec.propagation);
     engine_->set_lookahead(min_propagation_);
   } else {
-    links_.push_back(
-        std::make_unique<link::Link>(sim_, spec, std::move(name)));
+    links_.push_back(std::make_unique<link::Link>(sim_, spec, std::move(name),
+                                                  shard_taps(0)));
   }
-  link::Link* wire = links_.back().get();
-  if (!shard_traces_.empty()) {
-    wire->set_trace(/*from_a=*/true, shard_traces_[shard_a]);
-    wire->set_trace(/*from_a=*/false, shard_traces_[shard_b]);
-  } else if (trace_) {
-    wire->set_trace(trace_);
-  }
-  if (spans_) wire->set_span_profiler(spans_);
-  return *wire;
+  return *links_.back();
 }
 
 link::Link& Testbed::connect(Host& a, Host& b, const link::LinkSpec& spec,
@@ -81,12 +73,9 @@ link::EthernetSwitch& Testbed::add_switch_on(std::size_t shard,
                                              const std::string& name) {
   switches_.push_back(std::make_unique<link::EthernetSwitch>(
       shard_sim(shard), spec,
-      name.empty() ? "switch" + std::to_string(switches_.size()) : name));
+      name.empty() ? "switch" + std::to_string(switches_.size()) : name,
+      shard_taps(shard)));
   switch_shards_.push_back(shard);
-  if (obs::TraceSink* sink = shard_trace(shard)) {
-    switches_.back()->set_trace(sink);
-  }
-  if (spans_) switches_.back()->set_span_profiler(spans_);
   return *switches_.back();
 }
 
@@ -174,19 +163,6 @@ Testbed::Connection Testbed::open_connection(
                                     to_adapter);
   conn.server->listen();
   conn.client->connect();
-  if (sampler_ != nullptr) {
-    tcp::Endpoint* ep = conn.client;
-    sampler_->watch(conn.flow, [ep]() {
-      obs::FlowSampler::Sample s;
-      s.cwnd_segments = ep->cwnd_segments();
-      s.ssthresh_segments = ep->ssthresh();
-      s.flight_bytes = ep->flight_bytes();
-      s.rwnd_bytes = ep->peer_window();
-      s.srtt = ep->srtt();
-      s.cc_state = ep->cc_state();
-      return s;
-    });
-  }
   return conn;
 }
 
@@ -201,36 +177,25 @@ bool Testbed::run_until_established(const Connection& conn,
   return conn.client->established() && conn.server->established();
 }
 
-void Testbed::set_trace_sink(obs::TraceSink* sink) {
-  trace_ = sink;
-  for (auto& host : hosts_) host->set_trace(sink);
-  for (auto& wire : links_) wire->set_trace(sink);
-  for (auto& sw : switches_) sw->set_trace(sink);
-}
-
-void Testbed::set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks) {
-  shard_traces_ = std::move(sinks);
-  if (shard_traces_.empty()) return;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i]->set_trace(shard_traces_[host_shards_[i]]);
+void Testbed::set_taps(const obs::Taps& taps, std::size_t shard) {
+  obs::Taps& slot = taps_.at(shard);
+  // The span profiler keeps one journey map across all components, and a
+  // trace sink is a single-threaded ring: either shared across shards
+  // would be written from every worker thread. Classic runs are the
+  // profiling path — same model, same code, one thread.
+  if (engine_ && taps.spans != nullptr) {
+    throw std::invalid_argument(
+        "Testbed::set_taps: the span profiler needs a classic testbed");
   }
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    switches_[i]->set_trace(shard_traces_[switch_shards_[i]]);
+  if (taps.trace != nullptr) {
+    for (const obs::Taps& other : taps_) {
+      if (&other != &slot && other.trace == taps.trace) {
+        throw std::invalid_argument(
+            "Testbed::set_taps: trace sink already armed on another shard");
+      }
+    }
   }
-  // Existing links cannot be revisited per direction here (their shard
-  // placement is not stored); arm shard sinks before building the topology.
-}
-
-void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
-  // The span profiler keeps one journey map across all components; in
-  // sharded mode that would be written from every worker thread, so the
-  // sharded testbed leaves it disarmed (classic runs are the profiling
-  // path — same model, same code, one thread).
-  if (engine_) return;
-  spans_ = spans;
-  for (auto& host : hosts_) host->set_span_profiler(spans);
-  for (auto& wire : links_) wire->set_span_profiler(spans);
-  for (auto& sw : switches_) sw->set_span_profiler(spans);
+  slot = taps;
 }
 
 void Testbed::set_metric_scraper(obs::MetricScraper* scraper) {
@@ -243,13 +208,6 @@ void Testbed::set_metric_scraper(obs::MetricScraper* scraper) {
   } else {
     sim_.set_time_hook(scraper);
   }
-}
-
-void Testbed::set_flow_sampler(obs::FlowSampler* sampler) {
-  // Same single-writer argument as the span profiler: classic mode only.
-  if (engine_) return;
-  sampler_ = sampler;
-  if (sampler != nullptr) sampler->attach(sim_);
 }
 
 namespace {

@@ -12,13 +12,12 @@
 #include "hw/presets.hpp"
 #include "link/link.hpp"
 #include "link/switch.hpp"
+#include "obs/taps.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::obs {
-class FlowSampler;
 class MetricScraper;
-class SpanProfiler;
 }
 
 namespace xgbe::core {
@@ -32,7 +31,8 @@ class Testbed {
   /// shards may only talk through links (which is all the model ever does).
   /// Results are bit-identical for any shard count.
   explicit Testbed(std::size_t shards)
-      : engine_(std::make_unique<sim::ShardedEngine>(shards)) {}
+      : engine_(std::make_unique<sim::ShardedEngine>(shards)),
+        taps_(engine_->shard_count()) {}
 
   bool sharded() const { return engine_ != nullptr; }
   sim::ShardedEngine& engine() { return *engine_; }
@@ -172,35 +172,20 @@ class Testbed {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink across the whole testbed: every existing host,
-  /// link, and switch, and everything created afterwards. Null disarms them
-  /// all the same way, so a sink may be destroyed once disarmed. Classic
-  /// mode only — a single sink shared across shards would race; use
-  /// set_shard_trace_sinks() in sharded mode.
-  void set_trace_sink(obs::TraceSink* sink);
-  obs::TraceSink* trace_sink() const { return trace_; }
-
-  /// Sharded tracing: one sink per shard (size must equal the shard
-  /// count). Every component records into its own shard's sink, and each
-  /// link direction into its transmitter's — appends never cross threads.
-  /// Merge the sinks with obs::merge_sorted() for a partition-invariant
-  /// view. Arm before building the topology; existing components are
-  /// revisited like in classic mode.
-  void set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks);
-
-  /// Arms the span profiler across the whole testbed, same fan-out as
-  /// set_trace_sink(); null disarms every component. The profiler must
-  /// outlive the testbed or be disarmed before it is destroyed. Classic
-  /// mode only: a sharded testbed ignores the call and stays disarmed.
-  void set_span_profiler(obs::SpanProfiler* spans);
-  obs::SpanProfiler* span_profiler() const { return spans_; }
-
-  /// Arms the flow sampler: every connection opened *after* this call gets
-  /// a read-only probe of the client endpoint's cwnd/ssthresh/flight/
-  /// rwnd/srtt, sampled every sampler interval. Arm before
-  /// open_connection(); existing connections are not revisited.
-  void set_flow_sampler(obs::FlowSampler* sampler);
-  obs::FlowSampler* flow_sampler() const { return sampler_; }
+  /// Arms (or, with empty members, disarms) one shard's taps — shard 0 in
+  /// classic mode. Every host, switch and link direction on the shard
+  /// reads this one obs::Taps, so the write reaches components built
+  /// before and after it alike. Each link direction records into its
+  /// transmitting shard's taps, so appends never cross threads; merge the
+  /// shard sinks with obs::merge_sorted() for a partition-invariant view.
+  /// Throws std::invalid_argument, leaving the taps unchanged, for a span
+  /// profiler on a sharded testbed (its journey map would be written from
+  /// every worker thread) or a trace sink already armed on another shard.
+  /// Armed probes must outlive the testbed or be disarmed first.
+  void set_taps(const obs::Taps& taps, std::size_t shard = 0);
+  const obs::Taps& taps(std::size_t shard = 0) const {
+    return taps_.at(shard);
+  }
 
   /// Arms a metric scraper (null disarms) as the testbed's time hook: in
   /// classic mode it fires between events at each scrape boundary; in
@@ -224,10 +209,9 @@ class Testbed {
   sim::Simulator& shard_sim(std::size_t shard) {
     return engine_ ? engine_->shard(shard) : sim_;
   }
-  /// Trace sink for components on `shard` (null when tracing is off).
-  obs::TraceSink* shard_trace(std::size_t shard) const {
-    if (!shard_traces_.empty()) return shard_traces_[shard];
-    return trace_;
+  /// Taps a component on `shard` should record into.
+  const obs::Taps* shard_taps(std::size_t shard) const {
+    return &taps_.at(engine_ ? shard : 0);
   }
   link::Link& make_link(std::size_t shard_a, std::size_t shard_b,
                         const link::LinkSpec& spec, std::string name);
@@ -239,6 +223,8 @@ class Testbed {
   // its live nodes when it dies, which makes that order safe.
   sim::Simulator sim_;
   std::unique_ptr<sim::ShardedEngine> engine_;
+  // One per shard, never resized: components hold pointers into it.
+  std::vector<obs::Taps> taps_ = std::vector<obs::Taps>(1);
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<link::Link>> links_;
   std::vector<std::unique_ptr<link::EthernetSwitch>> switches_;
@@ -247,10 +233,6 @@ class Testbed {
   sim::SimTime min_propagation_ = std::numeric_limits<sim::SimTime>::max();
   net::NodeId node_counter_ = 1;
   net::FlowId flow_counter_ = 1;
-  obs::TraceSink* trace_ = nullptr;
-  std::vector<obs::TraceSink*> shard_traces_;
-  obs::SpanProfiler* spans_ = nullptr;
-  obs::FlowSampler* sampler_ = nullptr;
   obs::MetricScraper* scraper_ = nullptr;
 };
 

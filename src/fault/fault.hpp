@@ -113,7 +113,7 @@ struct FaultPlan {
   FaultPlan& only_data() { data_only = true; return *this; }
 };
 
-/// Per-device fault tally, sampleable through sim::Recorder and printable
+/// Per-device fault tally, sampleable through obs::MetricScraper and printable
 /// through tools::fault_summary so bench output shows *why* throughput
 /// degraded.
 struct FaultCounters {

@@ -23,12 +23,14 @@ constexpr std::uint64_t kReverseSeedMix = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace
 
-Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name)
+Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name,
+           const obs::Taps* taps)
     : spec_(spec),
       name_(std::move(name)),
       ab_(simulator, name_ + "/ab"),
       ba_(simulator, name_ + "/ba"),
       script_(legacy_plan(spec)) {
+  set_taps(taps);
   ab_.script = &script_;
   ba_.script = &script_;
   ab_.delivery_lane = simulator.open_lane();
@@ -36,7 +38,8 @@ Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name)
 }
 
 Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
-           std::size_t shard_b, const LinkSpec& spec, std::string name)
+           std::size_t shard_b, const LinkSpec& spec, std::string name,
+           const obs::Taps* taps_a, const obs::Taps* taps_b)
     : spec_(spec),
       name_(std::move(name)),
       sharded_(true),
@@ -53,6 +56,8 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
   ba_.own_script.set_plan(reverse);
   ab_.script = &ab_.own_script;
   ba_.script = &ba_.own_script;
+  ab_.taps = taps_a;
+  ba_.taps = taps_b;
   // Every delivery — same-shard ones included, so results cannot depend on
   // where hosts landed — goes through a barrier-committed channel. The
   // destination of a->b traffic is the B side's shard (where ba_ transmits
@@ -136,16 +141,15 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
   if (spec_.queue_limit_bytes != 0 &&
       dir.backlog_bytes + pkt.frame_bytes > spec_.queue_limit_bytes) {
     ++dir.drops_queue;
-    if (dir.trace) {
-      dir.trace->record_packet(obs::EventType::kWireDrop, sim.now(), pkt,
-                               name_.c_str(), "queue-full");
+    if (dir.taps->trace) {
+      dir.taps->trace->record_packet(obs::EventType::kWireDrop, sim.now(),
+                                     pkt, name_.c_str(), "queue-full");
     }
-    if (spans_) spans_->abort(pkt);
+    if (dir.taps->spans) dir.taps->spans->abort(pkt);
     if (tx_done) sim.schedule(0, std::move(tx_done));
     return;
   }
 
-  if (tap) tap(pkt, forward);
   dir.backlog_bytes += pkt.frame_bytes;
   if (dir.backlog_bytes > dir.peak_backlog) {
     dir.peak_backlog = dir.backlog_bytes;
@@ -199,22 +203,21 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
   // One trace event per frame, emitted after the verdict so drops carry
   // their cause. The sink consumes no randomness, so emission position
   // cannot perturb the fault RNG sequence.
-  if (dir.trace) {
+  if (obs::TraceSink* trace = dir.taps->trace) {
     if (verdict.drop) {
-      dir.trace->record_packet(obs::EventType::kWireDrop, now, pkt,
-                               name_.c_str(), fault::cause_name(verdict.cause));
+      trace->record_packet(obs::EventType::kWireDrop, now, pkt, name_.c_str(),
+                           fault::cause_name(verdict.cause));
     } else {
-      dir.trace->record_packet(obs::EventType::kWireTx, now, pkt,
-                               name_.c_str());
+      trace->record_packet(obs::EventType::kWireTx, now, pkt, name_.c_str());
     }
   }
   // The wire stage opens here and accumulates per hop (pipe queueing +
   // serialization + propagation all land in it).
-  if (spans_ != nullptr) {
+  if (obs::SpanProfiler* spans = dir.taps->spans) {
     if (verdict.drop) {
-      spans_->abort(pkt);
+      spans->abort(pkt);
     } else {
-      spans_->mark(pkt, obs::Stage::kWire, now);
+      spans->mark(pkt, obs::Stage::kWire, now);
     }
   }
   if (verdict.drop) return;

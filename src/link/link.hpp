@@ -2,13 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "net/packet.hpp"
+#include "obs/taps.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
@@ -17,8 +17,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::link {
@@ -69,14 +67,19 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    workers never share a cache line they write.
 class Link {
  public:
-  Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name);
+  /// Both directions record into `taps` (see set_taps()).
+  Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name,
+       const obs::Taps* taps = &obs::kNoTaps);
 
   /// Sharded-mode link between `shard_a` (the A side's shard) and `shard_b`.
   /// Registers one exchange channel per direction with the engine — link
   /// creation order therefore defines the cross-shard merge order and must
-  /// be identical across runs (it is: topology construction is code).
+  /// be identical across runs (it is: topology construction is code). Each
+  /// direction records into its transmitting shard's taps, so trace
+  /// appends and span marks never cross threads.
   Link(sim::ShardedEngine& engine, std::size_t shard_a, std::size_t shard_b,
-       const LinkSpec& spec, std::string name);
+       const LinkSpec& spec, std::string name, const obs::Taps* taps_a,
+       const obs::Taps* taps_b);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -171,34 +174,19 @@ class Link {
   /// Backlog queued for transmission from the given side, bytes.
   std::uint32_t backlog(const NetDevice* from) const;
 
-  /// Wire tap: invoked for every frame as it begins serialization (before
-  /// any loss), with the direction. Some recovery tests attach here; the
-  /// capture tool now rides the trace sink instead. Classic mode only — in
-  /// sharded mode the two directions run on different threads.
-  std::function<void(const net::Packet&, bool from_side_a)> tap;
-
   // --- Observability --------------------------------------------------------
-  /// Arms (or disarms, with null) the trace sink on both directions. Every
-  /// frame offered to the wire emits exactly one event: kWireTx when it
-  /// serializes, or kWireDrop with the cause when it is lost.
-  void set_trace(obs::TraceSink* sink) {
-    ab_.trace = sink;
-    ba_.trace = sink;
-  }
-
-  /// Per-direction sink, for sharded mode: each direction records into its
-  /// transmitting shard's sink so appends never race.
-  void set_trace(bool from_a, obs::TraceSink* sink) {
-    (from_a ? ab_ : ba_).trace = sink;
+  /// Points both directions at `taps` (null: obs::kNoTaps), replacing what
+  /// the link was built with — tools::Capture arms a single wire this way.
+  /// Every frame offered to the wire emits exactly one trace event: kWireTx
+  /// when it serializes, or kWireDrop with the cause when it is lost. A
+  /// frame that serializes marks the wire span stage; a drop aborts its
+  /// journey.
+  void set_taps(const obs::Taps* taps) {
+    ab_.taps = ba_.taps = taps != nullptr ? taps : &obs::kNoTaps;
   }
 
   /// Registers this link's delivery and fault counters under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: each frame that serializes marks the wire
-  /// stage; drops abort the journey. Null disarms (zero perturbation).
-  /// Classic mode only (the sharded testbed never arms it).
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   /// One scheduled delivery: the frame plus its destination device,
@@ -223,7 +211,7 @@ class Link {
     // pre-fault-layer seeds bit-identical), `own_script` in sharded mode.
     fault::FaultInjector* script = nullptr;
     fault::FaultInjector own_script;
-    obs::TraceSink* trace = nullptr;
+    const obs::Taps* taps = &obs::kNoTaps;
     bool use_channel = false;
     // Classic-mode deliveries: the lane (arrivals leave the pipe in order
     // and share one propagation delay) and the pools. Sharded deliveries
@@ -288,7 +276,6 @@ class Link {
   // Per-direction plans installed through set_fault_plan().
   fault::FaultInjector fault_ab_;
   fault::FaultInjector fault_ba_;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace xgbe::link

@@ -10,6 +10,7 @@
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
+#include "obs/taps.hpp"
 #include "sim/pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -78,8 +79,13 @@ struct SwitchSpec {
 /// shard partitioning or thread scheduling.
 class EthernetSwitch {
  public:
+  /// `taps` (the switch's shard's, see obs::Taps) sees fabric fault drops,
+  /// no-route drops, and egress tail drops as kWireDrop events annotated
+  /// with this switch's name; ingress marks the switch-queue span stage
+  /// (the egress link's transmit then re-marks wire) and drops abort the
+  /// journey.
   EthernetSwitch(sim::Simulator& simulator, const SwitchSpec& spec,
-                 std::string name);
+                 std::string name, const obs::Taps* taps = &obs::kNoTaps);
   ~EthernetSwitch();
 
   EthernetSwitch(const EthernetSwitch&) = delete;
@@ -132,17 +138,10 @@ class EthernetSwitch {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: fabric fault drops, no-route drops, and egress
-  /// tail drops emit kWireDrop events annotated with this switch's name.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Registers forwarding and fault counters under `prefix`; when
   /// spec().port_metrics is set, also per-port counters and queue gauges.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: ingress marks the switch-queue stage (the
-  /// egress link's transmit then re-marks wire); drops abort the journey.
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   class Port;
@@ -172,8 +171,7 @@ class EthernetSwitch {
   std::uint64_t dropped_queue_full_ = 0;
   std::uint64_t dropped_red_ = 0;
   std::uint64_t ce_marked_ = 0;
-  obs::TraceSink* trace_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Taps* taps_;
 };
 
 }  // namespace xgbe::link

@@ -70,7 +70,7 @@ void Adapter::set_mmrbc(std::uint32_t mmrbc) {
 void Adapter::transmit(net::Packet pkt) {
   // The driver posted the frame to the adapter: tx-ring ends here and the
   // DMA-engine wait plus the read (tx-dma) begins.
-  if (spans_) spans_->mark(pkt, obs::Stage::kTxDma, sim_.now());
+  if (taps_->spans) taps_->spans->mark(pkt, obs::Stage::kTxDma, sim_.now());
   tx_queue_.push_back(std::move(pkt));
   if (!tx_dma_active_) dma_next_tx();
 }
@@ -85,8 +85,8 @@ void Adapter::dma_next_tx() {
   if (host_faults_active() && host_faults_->tx_ring_stalled(sim_.now())) {
     tx_dma_active_ = false;
     host_faults_->count_tx_stall();
-    if (trace_) {
-      trace_->record(ring_event(
+    if (taps_->trace) {
+      taps_->trace->record(ring_event(
           obs::EventType::kRingStall, sim_.now(), trace_node_,
           static_cast<std::uint32_t>(tx_queue_.size()), name_.c_str(),
           "tx-ring"));
@@ -182,17 +182,17 @@ void Adapter::receive_frame(const net::Packet& arrived) {
     if (host_faults_active() && rx_ring_unreplenished_ > 0) {
       host_faults_->count_ring_stall_drop();
     }
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), arrived,
-                            name_.c_str(), "rx-ring-full");
+    if (taps_->trace) {
+      taps_->trace->record_packet(obs::EventType::kSegDrop, sim_.now(), arrived,
+                                  name_.c_str(), "rx-ring-full");
     }
-    if (spans_) spans_->abort(arrived);
+    if (taps_->spans) taps_->spans->abort(arrived);
     return;
   }
   ++rx_ring_used_;
   net::Packet pkt = arrived;
   // Last bit off the wire, frame in a ring buffer: wire stage ends here.
-  if (spans_) spans_->mark(pkt, obs::Stage::kRxRing, sim_.now());
+  if (taps_->spans) taps_->spans->mark(pkt, obs::Stage::kRxRing, sim_.now());
   const sim::SimTime bus_time =
       (spec_.on_mch
            ? hw::bus_time(mem_spec_, pkt.frame_bytes, 1) + sim::nsec(100)
@@ -204,7 +204,9 @@ void Adapter::receive_frame(const net::Packet& arrived) {
   *rec = pkt;
   pci_.submit(bus_time, [this, rec]() {
     // RX DMA write landed in host memory; the interrupt hold-off begins.
-    if (spans_) spans_->mark(*rec, obs::Stage::kIntrCoalesce, sim_.now());
+    if (taps_->spans) {
+      taps_->spans->mark(*rec, obs::Stage::kIntrCoalesce, sim_.now());
+    }
     if (spec_.rx_corruption_rate > 0.0 && rec->payload_bytes > 0 &&
         corruption_rng_.chance(spec_.rx_corruption_rate)) {
       rec->corrupted = true;  // damaged after the adapter's checksum check
@@ -260,10 +262,10 @@ void Adapter::raise_interrupt() {
   const auto batch_slots = static_cast<std::uint32_t>(rx_batch_->size());
   if (host_faults_active() && host_faults_->rx_ring_stalled(sim_.now())) {
     rx_ring_unreplenished_ += batch_slots;
-    if (trace_) {
-      trace_->record(ring_event(obs::EventType::kRingStall, sim_.now(),
-                                trace_node_, batch_slots, name_.c_str(),
-                                "rx-ring"));
+    if (taps_->trace) {
+      taps_->trace->record(ring_event(obs::EventType::kRingStall, sim_.now(),
+                                      trace_node_, batch_slots, name_.c_str(),
+                                      "rx-ring"));
     }
     arm_rx_replenish_recovery();
   } else {
@@ -272,7 +274,7 @@ void Adapter::raise_interrupt() {
   net::PacketBatch batch = std::move(rx_batch_);
   for (net::Packet& p : *batch) {
     // Interrupt asserted: hold-off ends, the kernel rx path starts.
-    if (spans_) spans_->mark(p, obs::Stage::kRxStack, sim_.now());
+    if (taps_->spans) taps_->spans->mark(p, obs::Stage::kRxStack, sim_.now());
   }
   if (rx_handler_) rx_handler_(std::move(batch));
 }
@@ -316,10 +318,10 @@ void Adapter::arm_rx_replenish_recovery() {
         std::min(rx_ring_used_, rx_ring_unreplenished_);
     rx_ring_used_ -= refilled;
     rx_ring_unreplenished_ = 0;
-    if (trace_) {
-      trace_->record(ring_event(obs::EventType::kRingRefill, sim_.now(),
-                                trace_node_, refilled, name_.c_str(),
-                                "rx-ring"));
+    if (taps_->trace) {
+      taps_->trace->record(ring_event(obs::EventType::kRingRefill, sim_.now(),
+                                      trace_node_, refilled, name_.c_str(),
+                                      "rx-ring"));
     }
   });
 }

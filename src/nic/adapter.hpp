@@ -13,6 +13,7 @@
 #include "hw/pcix.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
+#include "obs/taps.hpp"
 #include "sim/random.hpp"
 #include "net/packet.hpp"
 #include "sim/resource.hpp"
@@ -20,8 +21,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::nic {
@@ -124,21 +123,19 @@ class Adapter : public link::NetDevice {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: ring-full drops emit kSegDrop ("rx-ring-full"),
-  /// replenish stalls emit kRingStall/kRingRefill. `node` identifies this
-  /// adapter's host in the events.
-  void set_trace(obs::TraceSink* sink, net::NodeId node) {
-    trace_ = sink;
+  /// Points the adapter at its shard's taps (null: obs::kNoTaps). Traced:
+  /// ring-full drops emit kSegDrop ("rx-ring-full"), replenish stalls emit
+  /// kRingStall/kRingRefill, with `node` identifying this adapter's host.
+  /// Profiled: tx-dma start, rx-ring arrival, RX DMA completion, and
+  /// interrupt delivery.
+  void set_taps(const obs::Taps* taps, net::NodeId node) {
+    taps_ = taps != nullptr ? taps : &obs::kNoTaps;
     trace_node_ = node;
   }
 
   /// Registers frame/interrupt counters and the rx fault tally under
   /// `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: stamps tx-dma start, rx-ring arrival, RX DMA
-  /// completion, and interrupt delivery. Null disarms (zero perturbation).
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   void receive_frame(const net::Packet& arrived);
@@ -198,9 +195,8 @@ class Adapter : public link::NetDevice {
   std::uint64_t rx_dropped_ring_ = 0;
   std::uint64_t interrupts_ = 0;
 
-  obs::TraceSink* trace_ = nullptr;
+  const obs::Taps* taps_ = &obs::kNoTaps;
   net::NodeId trace_node_ = net::kInvalidNode;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace xgbe::nic

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "obs/registry.hpp"
-#include "sim/simulator.hpp"
 
 namespace xgbe::obs {
 
@@ -183,105 +182,6 @@ SpanBreakdown SpanProfiler::breakdown() const {
   b.aborted = aborted_;
   b.overflowed = overflowed_;
   return b;
-}
-
-FlowSampler::FlowSampler(sim::SimTime interval, std::size_t max_samples)
-    : interval_(interval < 1 ? 1 : interval), max_samples_(max_samples) {}
-
-void FlowSampler::attach(sim::Simulator& sim) {
-  sim_ = &sim;
-  arm();
-}
-
-void FlowSampler::watch(net::FlowId flow, Probe probe) {
-  probes_.emplace_back(flow, std::move(probe));
-  arm();
-}
-
-void FlowSampler::arm() {
-  if (armed_ || sim_ == nullptr || probes_.empty()) return;
-  if (rows_.size() >= max_samples_) return;
-  armed_ = true;
-  timer_ = sim_->schedule(interval_, [this]() {
-    armed_ = false;
-    tick();
-  });
-}
-
-void FlowSampler::tick() {
-  for (auto& [flow, probe] : probes_) {
-    if (rows_.size() >= max_samples_) break;
-    rows_.push_back(Row{sim_->now(), flow, probe()});
-  }
-  arm();
-}
-
-void FlowSampler::stop() {
-  if (armed_ && sim_ != nullptr) sim_->cancel(timer_);
-  armed_ = false;
-}
-
-void FlowSampler::reset() {
-  stop();
-  sim_ = nullptr;
-  probes_.clear();
-  rows_.clear();
-}
-
-std::string FlowSampler::to_csv() const {
-  std::string out =
-      "at_ps,flow,cwnd_segments,ssthresh_segments,flight_bytes,srtt_us,"
-      "rwnd_bytes,cc_state\n";
-  for (const Row& r : rows_) {
-    out += std::to_string(r.at) + "," + std::to_string(r.flow) + "," +
-           std::to_string(r.sample.cwnd_segments) + "," +
-           std::to_string(r.sample.ssthresh_segments) + "," +
-           std::to_string(r.sample.flight_bytes) + "," +
-           format_double(sim::to_microseconds(r.sample.srtt)) + "," +
-           std::to_string(r.sample.rwnd_bytes) + "," +
-           std::to_string(r.sample.cc_state) + "\n";
-  }
-  return out;
-}
-
-std::string FlowSampler::to_jsonl() const {
-  std::string out;
-  for (const Row& r : rows_) {
-    out += "{\"at_ps\":" + std::to_string(r.at) +
-           ",\"flow\":" + std::to_string(r.flow) +
-           ",\"cwnd_segments\":" + std::to_string(r.sample.cwnd_segments) +
-           ",\"ssthresh_segments\":" +
-           std::to_string(r.sample.ssthresh_segments) +
-           ",\"flight_bytes\":" + std::to_string(r.sample.flight_bytes) +
-           ",\"srtt_us\":" + format_double(sim::to_microseconds(r.sample.srtt)) +
-           ",\"rwnd_bytes\":" + std::to_string(r.sample.rwnd_bytes) +
-           ",\"cc_state\":" + std::to_string(r.sample.cc_state) + "}\n";
-  }
-  return out;
-}
-
-std::string series_json(const FlowSampler& sampler) {
-  std::string out =
-      "{\"interval_ps\":" + std::to_string(sampler.interval()) +
-      ",\"columns\":[\"at_ps\",\"flow\",\"cwnd_segments\","
-      "\"ssthresh_segments\",\"flight_bytes\",\"srtt_us\",\"rwnd_bytes\","
-      "\"cc_state\"]"
-      ",\"rows\":[";
-  bool first = true;
-  for (const FlowSampler::Row& r : sampler.rows()) {
-    if (!first) out += ",";
-    first = false;
-    out += '[';
-    out += std::to_string(r.at) + "," + std::to_string(r.flow) + "," +
-           std::to_string(r.sample.cwnd_segments) + "," +
-           std::to_string(r.sample.ssthresh_segments) + "," +
-           std::to_string(r.sample.flight_bytes) + "," +
-           format_double(sim::to_microseconds(r.sample.srtt)) + "," +
-           std::to_string(r.sample.rwnd_bytes) + "," +
-           std::to_string(r.sample.cc_state) + "]";
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace xgbe::obs

@@ -1,5 +1,4 @@
-// Per-segment latency attribution (span profiler) and per-flow time-series
-// sampling.
+// Per-segment latency attribution (span profiler).
 //
 // SpanProfiler follows each data segment through the pipeline stages the
 // paper's latency ledger argues about (Fig. 6/7: where do the 19 us go?):
@@ -18,30 +17,16 @@
 // totals sum to the end-to-end total *exactly* — the breakdown is a ledger,
 // not an approximation. Repeated marks of the same stage (e.g. the two wire
 // hops around a switch) simply accumulate.
-//
-// FlowSampler is the time-series half: a fixed-interval sampler of
-// cwnd/ssthresh/flightsize/srtt/rwnd per flow (the paper's WAN cwnd-evolution
-// view of the land-speed-record run). Unlike the profiler it *does* schedule
-// its own timer events, but every probe is a read-only closure, so simulation
-// results still match an unarmed run bit-for-bit (only the executed-event
-// count differs).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
-
-namespace xgbe::sim {
-class Simulator;
-}
 
 namespace xgbe::obs {
 
@@ -97,9 +82,9 @@ std::string format_breakdown_table(const SpanBreakdown& b,
 /// shortest-round-trip doubles for the derived means).
 std::string breakdown_json(const SpanBreakdown& b);
 
-/// Follows individual data segments through the pipeline. Armed via the
-/// set_span_profiler() fan-out on core::Testbed / core::Host; every model
-/// hook is a no-op when the component's pointer is null.
+/// Follows individual data segments through the pipeline. Armed through
+/// obs::Taps (core::Testbed::set_taps); every model hook is a no-op while
+/// the taps' profiler is null.
 class SpanProfiler {
  public:
   /// Most journeys tracked at once; begin() past the cap counts as
@@ -178,81 +163,5 @@ class SpanProfiler {
   std::uint64_t overflowed_ = 0;
   JourneyHook hook_;
 };
-
-/// Fixed-interval per-flow sampler of the TCP state variables the paper's
-/// WAN analysis plots (cwnd evolution over the land-speed-record transfer).
-///
-/// The sampler lives above the TCP layer: core::Testbed registers a
-/// read-only probe closure per connection (keeping obs free of a tcp
-/// dependency). Arm it *before* opening connections; rows are appended in
-/// (time, watch-registration) order, so output is deterministic.
-class FlowSampler {
- public:
-  struct Sample {
-    std::uint32_t cwnd_segments = 0;
-    std::uint32_t ssthresh_segments = 0;
-    std::uint64_t flight_bytes = 0;
-    std::uint64_t rwnd_bytes = 0;
-    sim::SimTime srtt = 0;
-    /// Algorithm-specific congestion state (CUBIC K in ms, DCTCP alpha in
-    /// 1/1024 fixed point, 0 for Reno-family).
-    std::int64_t cc_state = 0;
-  };
-  using Probe = std::function<Sample()>;
-
-  struct Row {
-    sim::SimTime at = 0;
-    net::FlowId flow = 0;
-    Sample sample;
-  };
-
-  explicit FlowSampler(sim::SimTime interval,
-                       std::size_t max_samples = 65536);
-  ~FlowSampler() { stop(); }
-  FlowSampler(const FlowSampler&) = delete;
-  FlowSampler& operator=(const FlowSampler&) = delete;
-
-  /// Binds the sampler to a simulator clock (done by
-  /// Testbed::set_flow_sampler). The first tick fires one interval later.
-  void attach(sim::Simulator& sim);
-
-  /// Registers a flow probe; sampled every interval from the next tick.
-  void watch(net::FlowId flow, Probe probe);
-
-  /// Cancels the pending tick. Call before draining the simulator if the
-  /// run should end (the self-rearming timer otherwise keeps the event set
-  /// non-empty until max_samples). Safe to call repeatedly.
-  void stop();
-
-  /// Stops, drops all probes and rows, and detaches from the simulator so
-  /// the sampler can be re-armed against a fresh testbed.
-  void reset();
-
-  sim::SimTime interval() const { return interval_; }
-  const std::vector<Row>& rows() const { return rows_; }
-
-  /// "at_ps,flow,cwnd_segments,ssthresh_segments,flight_bytes,srtt_us,
-  /// rwnd_bytes,cc_state" header plus one line per row. Byte-identical
-  /// across reruns.
-  std::string to_csv() const;
-  /// One JSON object per line, same fields as the CSV.
-  std::string to_jsonl() const;
-
- private:
-  void tick();
-  void arm();
-
-  sim::Simulator* sim_ = nullptr;
-  sim::SimTime interval_;
-  std::size_t max_samples_;
-  std::vector<std::pair<net::FlowId, Probe>> probes_;
-  std::vector<Row> rows_;
-  sim::EventId timer_{};
-  bool armed_ = false;
-};
-
-/// Deterministic JSON rendering of a sampler's series for the bench result
-/// log: {"interval_ps":..,"columns":[..],"rows":[[..],..]}.
-std::string series_json(const FlowSampler& sampler);
 
 }  // namespace xgbe::obs

@@ -191,11 +191,11 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
       if (host_faults_->alloc_fails(block, /*rx=*/true)) {
         irq_cpu().submit(static_cast<sim::SimTime>(
             static_cast<double>(costs_.alloc_cost(block)) * mode_factor()));
-        if (trace_) {
-          trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
-                                "kernel", "alloc-fail");
+        if (taps_->trace) {
+          taps_->trace->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
+                                      "kernel", "alloc-fail");
         }
-        if (spans_) spans_->abort(pkt);
+        if (taps_->spans) taps_->spans->abort(pkt);
         continue;
       }
     }
@@ -217,11 +217,11 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
     if (!csum_offloaded && pkt.corrupted) {
       ++csum_drops_;
       irq_cpu().submit(cost);  // the verify work is still spent
-      if (trace_) {
-        trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
-                              "kernel", "csum");
+      if (taps_->trace) {
+        taps_->trace->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
+                                    "kernel", "csum");
       }
-      if (spans_) spans_->abort(pkt);
+      if (taps_->spans) taps_->spans->abort(pkt);
       continue;
     }
     irq_cpu().submit(cost, [shared, cb, i]() { (*cb)((*shared)[i]); });

@@ -10,6 +10,7 @@
 #include "fault/host_fault.hpp"
 #include "hw/system.hpp"
 #include "net/packet.hpp"
+#include "obs/taps.hpp"
 #include "os/config.hpp"
 #include "os/costs.hpp"
 #include "sim/pool.hpp"
@@ -18,8 +19,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::os {
@@ -105,19 +104,16 @@ class Kernel {
   const hw::SystemSpec& system() const { return spec_; }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: receive-path frame discards (failed skb
-  /// allocation, software-checksum rejection) emit kSegDrop events tagged
-  /// with this host's node id.
-  void set_trace(obs::TraceSink* sink, net::NodeId node) {
-    trace_ = sink;
+  /// Points the kernel at its shard's taps (null: obs::kNoTaps). Receive-path
+  /// frame discards (failed skb allocation, software-checksum rejection)
+  /// emit kSegDrop events tagged with `node` and abort their span journeys.
+  void set_taps(const obs::Taps* taps, net::NodeId node) {
+    taps_ = taps != nullptr ? taps : &obs::kNoTaps;
     trace_node_ = node;
   }
 
   /// Registers checksum-drop and CPU-load probes under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler so receive-path discards abort their journeys.
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
   /// Schedules `done` when both a CPU job and a memory-bus job complete;
   /// models a memcpy occupying core and bus simultaneously.
@@ -150,9 +146,8 @@ class Kernel {
   net::PacketBatchPool batch_pool_;  // for the vector convenience overload
   std::uint64_t csum_drops_ = 0;
   fault::HostFaultInjector* host_faults_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
+  const obs::Taps* taps_ = &obs::kNoTaps;
   net::NodeId trace_node_ = net::kInvalidNode;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace xgbe::os

@@ -70,7 +70,8 @@ class CongestionControl {
   /// trick of the WAN experiment when socket buffers bound the window.
   void set_clamp(std::uint32_t clamp) { clamp_ = clamp; }
 
-  /// Stable algorithm name for logs and the FlowSampler column.
+  /// Stable algorithm name for logs and the WAN benches' congestion-state
+  /// series.
   virtual const char* name() const { return "newreno"; }
 
   /// One algorithm-specific gauge for observability: CUBIC exports K (ms),

@@ -143,9 +143,9 @@ void Endpoint::send_rst(net::Seq seq) {
   pkt.tcp.flags.ack = true;
   pkt.tcp.ack = reasm_.rcv_nxt();
   ++stats_.rsts_sent;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
-                          "abort");
+  if (taps_->trace) {
+    taps_->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
+                                "abort");
   }
   hooks_.emit(pkt);
 }
@@ -164,9 +164,9 @@ void Endpoint::send_rst_for(const net::Packet& in) {
                   (in.tcp.flags.syn ? 1 : 0) + (in.tcp.flags.fin ? 1 : 0);
   }
   ++stats_.rsts_sent;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
-                          "no-connection");
+  if (taps_->trace) {
+    taps_->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
+                                "no-connection");
   }
   hooks_.emit(pkt);
 }
@@ -467,7 +467,7 @@ void Endpoint::admit_pending_writes() {
     if (state_ == TcpState::kClosed || pending_writes_.empty()) return;
     PendingWrite w = std::move(pending_writes_.front());
     pending_writes_.pop_front();
-    if (spans_ != nullptr) {
+    if (taps_->spans != nullptr) {
       write_spans_.push_back(WriteSpan{write_cursor_, write_cursor_ + bytes,
                                        w.called_at, sim_.now()});
     }
@@ -608,15 +608,15 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
     ++stats_.retransmits;
   }
   stats_.segments_sent += seg.packets;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kSegTx, sim_.now(), pkt, "tcp",
-                          retransmission ? "retransmission" : "");
+  if (taps_->trace) {
+    taps_->trace->record_packet(obs::EventType::kSegTx, sim_.now(), pkt, "tcp",
+                                retransmission ? "retransmission" : "");
   }
-  if (spans_ != nullptr && seg.len > 0) {
+  if (taps_->spans != nullptr && seg.len > 0) {
     if (retransmission) {
       // A retransmitted segment no longer measures the clean path; drop its
       // journey (counted as aborted) rather than pollute the breakdown.
-      spans_->abort(pkt);
+      taps_->spans->abort(pkt);
     } else {
       // Locate the application write whose bytes this segment carries; its
       // call/admit times bound the app-write stage. Writes fully behind
@@ -628,7 +628,7 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
       if (!write_spans_.empty() &&
           net::seq_le(write_spans_.front().begin_seq, seg.seq)) {
         const WriteSpan& ws = write_spans_.front();
-        spans_->begin(pkt, ws.called_at, ws.done_at, sim_.now());
+        taps_->spans->begin(pkt, ws.called_at, ws.done_at, sim_.now());
       }
     }
   }
@@ -682,7 +682,7 @@ void Endpoint::on_rto() {
     return;
   }
   ++stats_.timeouts;
-  if (trace_) {
+  if (taps_->trace) {
     obs::TraceEvent ev;
     ev.at = sim_.now();
     ev.type = obs::EventType::kRto;
@@ -692,7 +692,7 @@ void Endpoint::on_rto() {
     ev.seq = snd_una_;
     ev.len = flight_bytes();
     ev.where = "tcp";
-    trace_->record(ev);
+    taps_->trace->record(ev);
   }
   cc_->on_timeout(flight_packets());
   rtt_.backoff();
@@ -825,7 +825,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
       try_send();
     } else if (dupacks_ == 3) {
       ++stats_.fast_retransmits;
-      if (trace_) {
+      if (taps_->trace) {
         obs::TraceEvent ev;
         ev.at = sim_.now();
         ev.type = obs::EventType::kFastRetransmit;
@@ -835,7 +835,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
         ev.seq = snd_una_;
         ev.len = flight_bytes();
         ev.where = "tcp";
-        trace_->record(ev);
+        taps_->trace->record(ev);
       }
       recover_ = snd_nxt_;
       cc_->on_fast_retransmit(flight_packets());
@@ -881,11 +881,11 @@ void Endpoint::handle_data(const net::Packet& pkt) {
   if (wadv_.has_advertised() &&
       net::seq_ge(pkt.tcp.seq, wadv_.rcv_adv())) {
     ++stats_.out_of_window;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
-                            "out-of-window");
+    if (taps_->trace) {
+      taps_->trace->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
+                                  "tcp", "out-of-window");
     }
-    if (spans_) spans_->abort(pkt);
+    if (taps_->spans) taps_->spans->abort(pkt);
     send_ack(false);
     return;
   }
@@ -896,11 +896,11 @@ void Endpoint::handle_data(const net::Packet& pkt) {
   }
   if (!rxbuf_.charge_frame(pkt.frame_bytes, pkt.payload_bytes)) {
     ++stats_.rcv_buffer_drops;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
-                            "sockbuf-full");
+    if (taps_->trace) {
+      taps_->trace->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
+                                  "tcp", "sockbuf-full");
     }
-    if (spans_) spans_->abort(pkt);
+    if (taps_->spans) taps_->spans->abort(pkt);
     send_ack(false);  // re-advertise the (closed) window
     return;
   }
@@ -921,12 +921,12 @@ void Endpoint::handle_data(const net::Packet& pkt) {
       if (pkt.ce) ece_pending_ = true;
     }
   }
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kSegRx, sim_.now(), pkt, "tcp");
+  if (taps_->trace) {
+    taps_->trace->record_packet(obs::EventType::kSegRx, sim_.now(), pkt, "tcp");
   }
   // TCP accepted the segment: the rx-stack stage ends here and the journey
   // waits in app-read (reassembly + reader wakeup + copy) until consumed.
-  if (spans_) spans_->mark(pkt, obs::Stage::kAppRead, sim_.now());
+  if (taps_->spans) taps_->spans->mark(pkt, obs::Stage::kAppRead, sim_.now());
   // Linux tcp_measure_rcv_mss: track the largest segment recently seen.
   rcv_mss_est_ = std::max(rcv_mss_est_, pkt.payload_bytes);
 
@@ -985,9 +985,9 @@ void Endpoint::send_ack(bool window_update) {
   ++stats_.acks_sent;
   if (window_update) {
     ++stats_.window_update_acks;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kWindowUpdate, sim_.now(), pkt,
-                            "tcp");
+    if (taps_->trace) {
+      taps_->trace->record_packet(obs::EventType::kWindowUpdate, sim_.now(),
+                                  pkt, "tcp");
     }
   }
   hooks_.emit(pkt);
@@ -1007,9 +1007,9 @@ void Endpoint::maybe_read() {
     // Close journeys before on_consumed: a ping-pong app replies inside
     // that callback at this same instant, and the reply's journey must not
     // observe an unfinished inbound one.
-    if (spans_ != nullptr) {
-      spans_->finish_consumed(hooks_.flow, hooks_.remote_node,
-                              rcv_consumed_seq_, sim_.now());
+    if (taps_->spans != nullptr) {
+      taps_->spans->finish_consumed(hooks_.flow, hooks_.remote_node,
+                                    rcv_consumed_seq_, sim_.now());
     }
     if (on_consumed) on_consumed(chunk);
     maybe_window_update();

@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "net/packet.hpp"
+#include "obs/taps.hpp"
 #include "os/kernel.hpp"
 #include "os/sockbuf.hpp"
 #include "sim/simulator.hpp"
@@ -24,8 +25,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::tcp {
@@ -159,15 +158,14 @@ class Endpoint {
   std::function<void(sim::SimTime, std::uint32_t)> cwnd_trace;
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: segment tx/rx/drop, RTO, fast retransmit, and
-  /// window-update events. Null disarms; an unarmed endpoint behaves
-  /// bit-identically to one built without tracing.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-
-  /// Arms the span profiler: journeys open when a data segment leaves the
-  /// TCP layer and close when the peer application consumes the bytes.
-  /// Null disarms; same zero-perturbation contract as set_trace().
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
+  /// Points the endpoint at its shard's taps (null: obs::kNoTaps). Traced:
+  /// segment tx/rx/drop, RTO, fast retransmit, and window-update events.
+  /// Profiled: journeys open when a data segment leaves the TCP layer and
+  /// close when the peer application consumes the bytes. An unarmed
+  /// endpoint behaves bit-identically to one built without taps.
+  void set_taps(const obs::Taps* taps) {
+    taps_ = taps != nullptr ? taps : &obs::kNoTaps;
+  }
 
   /// Registers every EndpointStats counter plus cwnd/flight/srtt gauges
   /// under `prefix` (e.g. "host/tx/tcp/flow1").
@@ -221,7 +219,8 @@ class Endpoint {
   std::uint32_t cwnd_segments() const { return cc_->cwnd(); }
   std::uint32_t ssthresh() const { return cc_->ssthresh(); }
   /// Algorithm-specific congestion state (CUBIC K in ms, DCTCP alpha in
-  /// 1/1024 fixed point, 0 for Reno-family); feeds the FlowSampler column.
+  /// 1/1024 fixed point, 0 for Reno-family); feeds the WAN benches'
+  /// congestion-state series.
   std::int64_t cc_state() const { return cc_->state_gauge(); }
   /// Active congestion-control strategy (for diagnostics and tests).
   const CongestionControl& congestion() const { return *cc_; }
@@ -374,11 +373,11 @@ class Endpoint {
   };
   std::deque<PendingWrite> pending_writes_;
   bool write_in_kernel_ = false;
-  obs::TraceSink* trace_ = nullptr;
+  const obs::Taps* taps_ = &obs::kNoTaps;
   // Span-profiler bookkeeping: which application write produced which
   // sequence range (to bound the app-write stage), and how far the local
   // reader has consumed (to close inbound journeys). All updates are
-  // gated on spans_ except the cursors, which are cheap and must stay
+  // gated on taps_->spans except the cursors, which are cheap and must stay
   // consistent whether or not a profiler is armed mid-run.
   struct WriteSpan {
     net::Seq begin_seq = 0;
@@ -386,7 +385,6 @@ class Endpoint {
     sim::SimTime called_at = 0;
     sim::SimTime done_at = 0;
   };
-  obs::SpanProfiler* spans_ = nullptr;
   std::deque<WriteSpan> write_spans_;
   net::Seq write_cursor_ = 0;       // next unwritten byte in send space
   net::Seq rcv_consumed_seq_ = 0;   // first unconsumed byte in rcv space

@@ -14,11 +14,11 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "obs/taps.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::obs {
 class Registry;
-class TraceSink;
 }
 
 namespace xgbe::tcp {
@@ -83,7 +83,11 @@ class Listener {
   const ListenerStats& stats() const { return stats_; }
   const ListenerConfig& config() const { return config_; }
 
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
+  /// Points the listener at its shard's taps (null: obs::kNoTaps); refused
+  /// SYNs emit kListenDrop events.
+  void set_taps(const obs::Taps* taps) {
+    taps_ = taps != nullptr ? taps : &obs::kNoTaps;
+  }
 
   /// Registers the listener counters plus a half-open gauge under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
@@ -99,7 +103,7 @@ class Listener {
   std::uint32_t peak_half_open_ = 0;
   std::uint32_t peak_accept_queue_ = 0;
   std::deque<Endpoint*> ready_;
-  obs::TraceSink* trace_ = nullptr;
+  const obs::Taps* taps_ = &obs::kNoTaps;
 };
 
 }  // namespace xgbe::tcp

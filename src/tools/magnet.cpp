@@ -1,7 +1,5 @@
 #include "tools/magnet.hpp"
 
-#include <stdexcept>
-
 #include "obs/span.hpp"
 #include "tools/nttcp.hpp"
 
@@ -25,10 +23,6 @@ const MagnetStage* MagnetReport::hottest() const {
 MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
                         core::Host& sender, core::Host& receiver,
                         const MagnetOptions& options) {
-  if (tb.sharded()) {
-    throw std::invalid_argument(
-        "run_magnet: the span profiler runs on classic testbeds only");
-  }
   MagnetReport report;
   report.stages = {
       {"tx_host", {}},   // TCP emit -> driver posts the frame (tx-ring)
@@ -66,14 +60,15 @@ MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
     }
   });
 
-  // Re-arms whatever profiler was armed before, also if the run throws;
-  // declared after `spans`, so it runs before `spans` dies.
+  // Restores the testbed's previous taps, also if the run throws; declared
+  // after `spans`, so it runs before `spans` dies. Arming throws
+  // std::invalid_argument on a sharded testbed.
   struct Rearm {
     core::Testbed& tb;
-    obs::SpanProfiler* previous;
-    ~Rearm() { tb.set_span_profiler(previous); }
-  } rearm{tb, tb.span_profiler()};
-  tb.set_span_profiler(&spans);
+    obs::Taps previous;
+    ~Rearm() { tb.set_taps(previous); }
+  } rearm{tb, tb.taps()};
+  tb.set_taps({tb.taps().trace, &spans});
 
   NttcpOptions nt;
   nt.payload = options.payload;

@@ -78,18 +78,6 @@ std::string fault_summary(const link::Link& wire) {
   return line;
 }
 
-std::unique_ptr<sim::Recorder> make_fault_recorder(sim::Simulator& simulator,
-                                                   const link::Link& wire,
-                                                   sim::SimTime interval) {
-  auto rec = std::make_unique<sim::Recorder>(
-      simulator, interval, [&wire]() {
-        return static_cast<double>(wire.fault_counters().total_drops() +
-                                   wire.drops_queue());
-      });
-  rec->start();
-  return rec;
-}
-
 Capture::Capture(sim::Simulator& simulator, const CaptureOptions& options)
     : sim_(simulator), options_(options), sink_(/*capacity=*/1) {
   sink_.filter = [this](const obs::TraceEvent& ev) {
@@ -108,9 +96,9 @@ Capture::Capture(sim::Simulator& simulator, const CaptureOptions& options)
   };
 }
 
-void Capture::attach(link::Link& wire) { wire.set_trace(&sink_); }
+void Capture::attach(link::Link& wire) { wire.set_taps(&taps_); }
 
-void Capture::detach(link::Link& wire) { wire.set_trace(nullptr); }
+void Capture::detach(link::Link& wire) { wire.set_taps(nullptr); }
 
 std::string Capture::text() const {
   std::string out;

@@ -3,21 +3,21 @@
 // MAGNET to diagnose the window/MSS pathologies of §3.5.1).
 //
 // A Capture is now a formatter over the observability trace: it owns an
-// obs::TraceSink, arms it on a Link, and renders each wire event as one
-// tcpdump-like line. Frames lost to fault injection appear with a
-// " ** dropped (<cause>)" suffix — the old wire tap never saw the verdict.
+// obs::TraceSink, arms it on a Link through the link's taps, and renders
+// each wire event as one tcpdump-like line. Frames lost to fault injection
+// appear with a " ** dropped (<cause>)" suffix — the old wire tap never saw
+// the verdict.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "link/link.hpp"
 #include "net/packet.hpp"
+#include "obs/taps.hpp"
 #include "obs/trace.hpp"
-#include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::tools {
@@ -45,21 +45,18 @@ std::string format_frame(sim::SimTime at, const net::Packet& pkt);
 /// degraded.
 std::string fault_summary(const link::Link& wire);
 
-/// Builds a recorder sampling the link's cumulative fault-induced drops at
-/// `interval`, yielding a loss timeline that lines up with cwnd traces.
-std::unique_ptr<sim::Recorder> make_fault_recorder(sim::Simulator& simulator,
-                                                   const link::Link& wire,
-                                                   sim::SimTime interval);
-
 class Capture {
  public:
   explicit Capture(sim::Simulator& simulator,
                    const CaptureOptions& options = {});
+  // An attached wire and the sink's callbacks hold this object's address.
+  Capture(const Capture&) = delete;
+  Capture& operator=(const Capture&) = delete;
 
-  /// Arms this capture's sink on the link (replacing any sink already
-  /// armed there, like the old tap-stealing semantics).
+  /// Points the link at this capture's taps (replacing the taps it had,
+  /// like the old tap-stealing semantics).
   void attach(link::Link& wire);
-  /// Disarms the link's trace sink.
+  /// Leaves the link disarmed (obs::kNoTaps).
   void detach(link::Link& wire);
 
   const std::deque<std::string>& lines() const { return lines_; }
@@ -78,6 +75,7 @@ class Capture {
   sim::Simulator& sim_;
   CaptureOptions options_;
   obs::TraceSink sink_;
+  const obs::Taps taps_{&sink_, nullptr};
   std::deque<std::string> lines_;
   std::uint64_t seen_ = 0;
   std::uint64_t recorded_ = 0;

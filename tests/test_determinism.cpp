@@ -9,7 +9,8 @@
 
 #include "bench/parallel_sweep.hpp"
 #include "core/testbed.hpp"
-#include "sim/recorder.hpp"
+#include "obs/registry.hpp"
+#include "obs/scrape.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -19,13 +20,13 @@ struct RunCapture {
   std::uint64_t executed_events = 0;
   double gbps = 0.0;
   std::uint64_t retransmits = 0;
-  std::vector<std::pair<sim::SimTime, double>> samples;
+  std::vector<std::pair<sim::SimTime, std::int64_t>> samples;
 
   bool operator==(const RunCapture&) const = default;
 };
 
 // One Fig 2a NTTCP run (back-to-back PE2650s, stock tuning), instrumented
-// with a Recorder sampling the sender's acked-byte curve.
+// with a MetricScraper sampling the sender's acked-byte curve.
 RunCapture fig2a_run(std::uint32_t payload) {
   core::Testbed tb;
   const auto tuning = core::TuningProfile::stock(9000);
@@ -34,20 +35,25 @@ RunCapture fig2a_run(std::uint32_t payload) {
   tb.connect(a, b);
   auto conn =
       tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
-  sim::Recorder rec(tb.simulator(), sim::usec(200), [&conn] {
-    return static_cast<double>(conn.client->stats().bytes_acked);
-  });
-  rec.start();
+  obs::Registry probes;
+  probes.counter("bytes_acked",
+                 [&conn] { return conn.client->stats().bytes_acked; });
+  obs::ScrapeOptions so;
+  so.period = sim::usec(200);
+  obs::MetricScraper scraper(probes, so);
+  tb.set_metric_scraper(&scraper);
   tools::NttcpOptions opt;
   opt.payload = payload;
   opt.count = 400;
   const auto result = tools::run_nttcp(tb, conn, a, b, opt);
-  rec.stop();
+  tb.set_metric_scraper(nullptr);
   RunCapture cap;
   cap.executed_events = tb.simulator().executed_events();
   cap.gbps = result.throughput_gbps();
   cap.retransmits = result.retransmits;
-  cap.samples = rec.samples();
+  for (const obs::SeriesPoint& p : scraper.store().points("bytes_acked")) {
+    cap.samples.emplace_back(p.at, p.value);
+  }
   return cap;
 }
 

@@ -77,7 +77,7 @@ TEST(Registry, RenderingHandlesNonFiniteAndEscapes) {
 // snapshot so runs can be compared byte-for-byte.
 std::string traced_run_json(obs::TraceSink* sink) {
   core::Testbed tb;
-  if (sink != nullptr) tb.set_trace_sink(sink);
+  tb.set_taps({sink, nullptr});
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
@@ -152,7 +152,7 @@ TEST(Registry, LifecycleCountersFlowThroughBenchJson) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string file = buf.str();
-  EXPECT_NE(file.find("\"schema\":\"xgbe-bench/3\""), std::string::npos);
+  EXPECT_NE(file.find("\"schema\":\"xgbe-bench/4\""), std::string::npos);
   EXPECT_NE(file.find("\"label\":\"churn-lan\""), std::string::npos);
   EXPECT_NE(file.find("\"path\":\"server/listener/accepted\","
                       "\"kind\":\"counter\",\"value\":30}"),
@@ -176,7 +176,7 @@ TEST(Trace, ArmingASinkDoesNotPerturbTheSimulation) {
 TEST(Trace, NullSinkDisarmsExistingComponents) {
   core::Testbed tb;
   obs::TraceSink sink(512);
-  tb.set_trace_sink(&sink);
+  tb.set_taps({&sink, nullptr});
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
@@ -191,7 +191,7 @@ TEST(Trace, NullSinkDisarmsExistingComponents) {
   ASSERT_GT(offered, 0u);
 
   // Disarmed, a second transfer must not reach the sink at all.
-  tb.set_trace_sink(nullptr);
+  tb.set_taps({});
   ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
   EXPECT_EQ(sink.offered(), offered);
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "fault/fault.hpp"
 #include "hw/presets.hpp"
 #include "net/headers.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
 
@@ -178,6 +180,62 @@ TEST(ParallelEngine, MergedShardTracesAreIdentical) {
     EXPECT_EQ(base_fp, fp) << "shards=" << shards;
     EXPECT_EQ(base_count, total) << "shards=" << shards;
   }
+}
+
+// kWireTx events in the merged per-shard traces of a 2-shard cluster, its
+// sinks armed before the topology is built or after it.
+std::size_t merged_wire_tx(bool arm_after_build) {
+  std::vector<std::unique_ptr<xgbe::obs::TraceSink>> sinks;
+  std::vector<xgbe::obs::TraceSink*> raw;
+  std::vector<const xgbe::obs::TraceSink*> craw;
+  for (std::size_t i = 0; i < 2; ++i) {
+    sinks.push_back(std::make_unique<xgbe::obs::TraceSink>(1 << 16));
+    raw.push_back(sinks.back().get());
+    craw.push_back(sinks.back().get());
+  }
+  Options opt;
+  opt.hosts = 4;
+  opt.shards = 2;
+  if (!arm_after_build) opt.shard_traces = raw;
+  auto c = build(opt);
+  if (arm_after_build) {
+    for (std::size_t i = 0; i < raw.size(); ++i) c->tb.set_taps({raw[i]}, i);
+  }
+  drive(*c, xgbe::sim::msec(1), xgbe::sim::msec(2));
+  std::size_t wire_tx = 0;
+  for (const auto& ev : xgbe::obs::merge_sorted(craw)) {
+    if (ev.type == xgbe::obs::EventType::kWireTx) ++wire_tx;
+  }
+  return wire_tx;
+}
+
+// Every link direction reads its transmitting shard's taps, so sinks armed
+// once the topology exists still see every wire.
+TEST(ParallelEngine, ShardSinksArmedAfterBuildSeeEveryWire) {
+  const std::size_t before = merged_wire_tx(/*arm_after_build=*/false);
+  EXPECT_GT(before, 0u);
+  EXPECT_EQ(merged_wire_tx(/*arm_after_build=*/true), before);
+}
+
+// A TraceSink is single-threaded: arming one on two shards would hand it to
+// two worker threads, so the second arming is refused and changes nothing.
+TEST(ParallelEngine, OneSinkOnTwoShardsIsRefused) {
+  xgbe::core::Testbed tb(2);
+  xgbe::obs::TraceSink sink;
+  tb.set_taps({&sink}, 0);
+  EXPECT_THROW(tb.set_taps({&sink}, 1), std::invalid_argument);
+  EXPECT_EQ(tb.taps(1).trace, nullptr);
+  // Re-arming the shard that already holds it is fine.
+  EXPECT_NO_THROW(tb.set_taps({&sink}, 0));
+}
+
+// The span profiler's journey map is shared by every component, so a
+// sharded testbed refuses it instead of dropping it silently.
+TEST(ParallelEngine, SpanProfilerOnShardedTestbedIsRefused) {
+  xgbe::core::Testbed tb(2);
+  xgbe::obs::SpanProfiler spans;
+  EXPECT_THROW(tb.set_taps({nullptr, &spans}), std::invalid_argument);
+  EXPECT_EQ(tb.taps().spans, nullptr);
 }
 
 // The engine watchdog evaluates at barriers only: arming it must not

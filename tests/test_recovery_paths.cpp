@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/testbed.hpp"
+#include "obs/trace.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -50,17 +51,21 @@ TEST(RtoBackoff, DoublesUnderAckBlackoutAndKarnProtectsSrtt) {
       fault::LinkFlap{p.tb.now(), p.tb.now() + sim::sec(2)});
   p.wire->set_fault_plan(blackout, /*from_a=*/false);
 
-  // Record when each retransmission hits the wire.
+  // Record when each retransmission from a hits the wire.
   std::vector<sim::SimTime> retx_times;
-  p.wire->tap = [&](const net::Packet& pkt, bool from_a) {
-    if (from_a && pkt.tcp.is_retransmit && pkt.payload_bytes > 0) {
-      retx_times.push_back(p.tb.now());
+  obs::TraceSink sink;
+  sink.on_record = [&](const obs::TraceEvent& ev) {
+    if (ev.type == obs::EventType::kWireTx && p.wire->name() == ev.where &&
+        ev.src == p.a->node() && (ev.flags & obs::kFlagRetransmit) != 0 &&
+        ev.len > 0) {
+      retx_times.push_back(ev.at);
     }
   };
+  p.tb.set_taps({&sink, nullptr});
 
   conn.client->app_send(8948, nullptr);
   p.tb.run_for(sim::sec(8));
-  p.wire->tap = nullptr;
+  p.tb.set_taps({});
 
   // Every recovery was timer-driven: no duplicate ACKs ever came back.
   EXPECT_EQ(conn.client->stats().fast_retransmits, 0u);

@@ -1,13 +1,11 @@
-// Tests for the span profiler (per-segment latency attribution) and the
-// flow time-series sampler.
+// Tests for the span profiler (per-segment latency attribution).
 //
 // The two load-bearing contracts:
 //  - Attribution is a ledger, not an estimate: integer-picosecond stage
 //    durations telescope, so they sum to the end-to-end time *exactly*.
-//  - Observation is free: arming either tool must not change simulation
-//    results (the profiler is fully passive and even leaves the executed
-//    event count untouched; the sampler schedules read-only probe ticks,
-//    so everything except the event count stays bit-identical).
+//  - Observation is free: arming the profiler must not change simulation
+//    results (it is fully passive and even leaves the executed event count
+//    untouched).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,7 +35,7 @@ struct PingPongRun {
 PingPongRun ping_pong(std::uint32_t payload, bool through_switch,
                       bool coalesce, obs::SpanProfiler* spans) {
   core::Testbed tb;
-  if (spans != nullptr) tb.set_span_profiler(spans);
+  tb.set_taps({nullptr, spans});
   auto tuning = core::TuningProfile::lan_tuned(9000);
   if (!coalesce) tuning.intr_delay = 0;
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
@@ -136,7 +134,7 @@ TEST(SpanProfiler, ArmedRunIsBitIdenticalToUnarmed) {
 TEST(SpanProfiler, DroppedSegmentsAbortInsteadOfCorrupting) {
   core::Testbed tb;
   obs::SpanProfiler spans;
-  tb.set_span_profiler(&spans);
+  tb.set_taps({nullptr, &spans});
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
@@ -163,7 +161,7 @@ TEST(SpanProfiler, DroppedSegmentsAbortInsteadOfCorrupting) {
 TEST(SpanProfiler, NullDisarmsExistingComponents) {
   core::Testbed tb;
   obs::SpanProfiler spans;
-  tb.set_span_profiler(&spans);
+  tb.set_taps({nullptr, &spans});
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
@@ -177,9 +175,9 @@ TEST(SpanProfiler, NullDisarmsExistingComponents) {
   const std::uint64_t opened = spans.breakdown().opened;
   ASSERT_GT(opened, 0u);
 
-  // Disarmed, a second transfer must open no journey: the components hold
-  // no pointer to the profiler any more.
-  tb.set_span_profiler(nullptr);
+  // Disarmed, a second transfer must open no journey: the shard's taps,
+  // which every component reads, hold no profiler any more.
+  tb.set_taps({});
   ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
   EXPECT_EQ(spans.breakdown().opened, opened);
 }
@@ -208,7 +206,7 @@ TEST(SpanProfiler, JourneyHookSeesEveryCompletedJourney) {
         ++calls;
         for (std::size_t i = 0; i < obs::kStageCount; ++i) sum[i] += dur[i];
       });
-  tb.set_span_profiler(&spans);
+  tb.set_taps({nullptr, &spans});
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
@@ -219,7 +217,7 @@ TEST(SpanProfiler, JourneyHookSeesEveryCompletedJourney) {
   opt.payload = 8948;
   opt.count = 200;
   ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
-  tb.set_span_profiler(nullptr);
+  tb.set_taps({});
 
   // The hook sees exactly the journeys the aggregates fold in.
   const obs::SpanBreakdown breakdown = spans.breakdown();
@@ -249,104 +247,6 @@ TEST(SpanProfiler, BreakdownRenderingsAreConsistent) {
   EXPECT_NE(json.find("\"stage\":\"intr-coalesce\""), std::string::npos);
   // Deterministic rendering: same breakdown, same bytes.
   EXPECT_EQ(json, obs::breakdown_json(spans.breakdown()));
-}
-
-// ---------------------------------------------------------------------------
-// FlowSampler: a bulk-transfer harness with the sampler armed.
-
-struct SampledRun {
-  std::string fingerprint;  // metrics snapshot + final sim clock
-  std::string csv;
-  std::string jsonl;
-  std::size_t rows = 0;
-};
-
-SampledRun bulk_transfer(obs::FlowSampler* sampler) {
-  core::Testbed tb;
-  if (sampler != nullptr) tb.set_flow_sampler(sampler);
-  const auto tuning = core::TuningProfile::lan_tuned(9000);
-  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
-  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
-  tb.connect(a, b);
-  auto conn =
-      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
-  tools::NttcpOptions opt;
-  opt.payload = 8948;
-  opt.count = 500;
-  EXPECT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
-  if (sampler != nullptr) sampler->stop();
-  SampledRun run;
-  obs::Registry reg;
-  tb.register_metrics(reg);
-  run.fingerprint = reg.snapshot().to_json() + "\n@" + std::to_string(tb.now());
-  if (sampler != nullptr) {
-    run.csv = sampler->to_csv();
-    run.jsonl = sampler->to_jsonl();
-    run.rows = sampler->rows().size();
-  }
-  return run;
-}
-
-TEST(FlowSampler, ArmedRunLeavesSimulationResultsUnchanged) {
-  // The sampler schedules its own (read-only) timer events, so the
-  // executed-event count legitimately differs — but every simulation
-  // result (metrics, clock) must match an unarmed run bit for bit.
-  const SampledRun unarmed = bulk_transfer(nullptr);
-  obs::FlowSampler sampler(sim::usec(200));
-  const SampledRun armed = bulk_transfer(&sampler);
-  EXPECT_EQ(unarmed.fingerprint, armed.fingerprint);
-  EXPECT_GT(armed.rows, 0u);
-}
-
-TEST(FlowSampler, RerunsProduceIdenticalSeries) {
-  obs::FlowSampler first(sim::usec(200));
-  const SampledRun one = bulk_transfer(&first);
-  obs::FlowSampler second(sim::usec(200));
-  const SampledRun two = bulk_transfer(&second);
-  ASSERT_GT(one.rows, 0u);
-  EXPECT_EQ(one.csv, two.csv);
-  EXPECT_EQ(one.jsonl, two.jsonl);
-  // The renderings carry the same row count and start with the header.
-  EXPECT_EQ(one.csv.substr(0, one.csv.find('\n')),
-            "at_ps,flow,cwnd_segments,ssthresh_segments,flight_bytes,"
-            "srtt_us,rwnd_bytes,cc_state");
-  EXPECT_EQ(obs::series_json(first), obs::series_json(second));
-}
-
-TEST(FlowSampler, SamplesCarryLiveTcpState) {
-  obs::FlowSampler sampler(sim::usec(200));
-  const SampledRun run = bulk_transfer(&sampler);
-  ASSERT_GT(run.rows, 2u);
-  bool saw_flight = false;
-  bool saw_srtt = false;
-  for (const obs::FlowSampler::Row& row : sampler.rows()) {
-    EXPECT_EQ(row.flow, 1u);
-    EXPECT_GT(row.sample.cwnd_segments, 0u);
-    if (row.sample.flight_bytes > 0) saw_flight = true;
-    if (row.sample.srtt > 0) saw_srtt = true;
-  }
-  EXPECT_TRUE(saw_flight);
-  EXPECT_TRUE(saw_srtt);
-  // Rows are appended in time order.
-  for (std::size_t i = 1; i < sampler.rows().size(); ++i) {
-    EXPECT_GT(sampler.rows()[i].at, sampler.rows()[i - 1].at);
-  }
-}
-
-TEST(FlowSampler, MaxSamplesBoundsTheSeries) {
-  obs::FlowSampler sampler(sim::usec(200), /*max_samples=*/5);
-  const SampledRun run = bulk_transfer(&sampler);
-  EXPECT_EQ(run.rows, 5u);
-}
-
-TEST(FlowSampler, ResetAllowsReuseAgainstAFreshTestbed) {
-  obs::FlowSampler sampler(sim::usec(200));
-  const SampledRun one = bulk_transfer(&sampler);
-  ASSERT_GT(one.rows, 0u);
-  sampler.reset();
-  EXPECT_TRUE(sampler.rows().empty());
-  const SampledRun two = bulk_transfer(&sampler);
-  EXPECT_EQ(one.csv, two.csv);
 }
 
 }  // namespace

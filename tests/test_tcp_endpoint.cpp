@@ -278,23 +278,25 @@ TEST(FlightCount, TracksTheRetransmissionQueueThroughEveryPath) {
   // Partial-ACK detector: an ACK landing strictly inside a TSO
   // super-segment makes the sender trim the queue head.
   std::vector<std::pair<net::Seq, net::Seq>> super_segments;
+  int partial_acks = 0;
   obs::TraceSink sink;
   sink.on_record = [&](const obs::TraceEvent& ev) {
-    if (ev.type == obs::EventType::kSegTx && ev.len > mss) {
+    if (ev.src == p.a->node() && ev.type == obs::EventType::kSegTx &&
+        ev.len > mss) {
       super_segments.emplace_back(ev.seq, ev.seq + ev.len);
     }
-  };
-  tx.set_trace(&sink);
-  int partial_acks = 0;
-  p.wire->tap = [&](const net::Packet& pkt, bool from_a) {
-    if (from_a || !pkt.tcp.flags.ack) return;
+    if (ev.src != p.b->node() || ev.type != obs::EventType::kWireTx ||
+        p.wire->name() != ev.where || (ev.flags & obs::kFlagAck) == 0) {
+      return;
+    }
     for (const auto& [begin, end] : super_segments) {
-      if (net::seq_gt(pkt.tcp.ack, begin) && net::seq_lt(pkt.tcp.ack, end)) {
+      if (net::seq_gt(ev.ack, begin) && net::seq_lt(ev.ack, end)) {
         ++partial_acks;
         break;
       }
     }
   };
+  p.tb.set_taps({&sink, nullptr});
 
   // Runs in short slices, checking both ends between events.
   auto run_checked = [&](sim::SimTime duration) {
@@ -352,8 +354,7 @@ TEST(FlightCount, TracksTheRetransmissionQueueThroughEveryPath) {
   EXPECT_EQ(tx.unacked_segments(), 0u);
   EXPECT_EQ(tx.invariant_violation(), "");
   run_checked(sim::msec(10));
-  tx.set_trace(nullptr);
-  p.wire->tap = nullptr;
+  p.tb.set_taps({});
 
   EXPECT_EQ(cwnd_after_step, (std::vector<std::uint32_t>{162, 324, 17, 5}));
 }

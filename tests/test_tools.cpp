@@ -131,7 +131,7 @@ TEST(Magnet, LeavesTheRunBitIdentical) {
   profiled_ledger.add_testbed(profiled.tb);
   EXPECT_EQ(profiled_ledger.render(), plain_ledger.render());
   // MAGNET disarms its profiler when it returns.
-  EXPECT_EQ(profiled.tb.span_profiler(), nullptr);
+  EXPECT_EQ(profiled.tb.taps().spans, nullptr);
 }
 
 TEST(Magnet, CoarsensSpanJourneys) {
@@ -154,11 +154,11 @@ TEST(Magnet, CoarsensSpanJourneys) {
     grouped[4].add(sim::to_microseconds(ps(obs::Stage::kIntrCoalesce)));
     grouped[5].add(sim::to_microseconds(ps(obs::Stage::kRxStack)));
   });
-  hand.tb.set_span_profiler(&spans);
+  hand.tb.set_taps({nullptr, &spans});
   ASSERT_TRUE(tools::run_nttcp(hand.tb, hand.conn, *hand.a, *hand.b,
                                magnet_nttcp_options())
                   .completed);
-  hand.tb.set_span_profiler(nullptr);
+  hand.tb.set_taps({});
 
   MagnetRig profiled;
   const auto m = tools::run_magnet(profiled.tb, profiled.conn, *profiled.a,

@@ -155,7 +155,7 @@ TEST(Watchdog, DeadCarrierConvertsHangIntoDiagnosticFailure) {
 TEST(Watchdog, AutopsyIncludesFlightRecorderTail) {
   core::Testbed tb;
   obs::TraceSink sink(64);
-  tb.set_trace_sink(&sink);
+  tb.set_taps({&sink, nullptr});
 
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
