@@ -3,6 +3,7 @@
 // Chicago and the transatlantic LHCnet OC-48 — plus the counterfactual the
 // paper warns about (oversized buffers -> congestion loss -> AIMD collapse).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "analysis/aimd.hpp"
@@ -11,6 +12,7 @@
 #include "link/wan.hpp"
 #include "obs/registry.hpp"
 #include "obs/scrape.hpp"
+#include "tools/drop_report.hpp"
 #include "tools/iperf.hpp"
 
 namespace {
@@ -19,7 +21,10 @@ struct WanOutcome {
   double gbps = 0.0;
   double rtt_ms = 0.0;
   std::uint64_t retransmits = 0;
+  // Every frame the network lost, from the testbed's drop ledger, and the
+  // components that lost them ("router/port-buffer-full=5516").
   std::uint64_t drops = 0;
+  std::string drop_sites;
   // Segments, in the scraper's milli-units for gauges.
   std::vector<xgbe::obs::SeriesPoint> cwnd_timeline;
 };
@@ -31,7 +36,7 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
   auto& sunnyvale = tb.add_host("sunnyvale", hw::presets::wan_endpoint(),
                                 tuning);
   auto& geneva = tb.add_host("geneva", hw::presets::wan_endpoint(), tuning);
-  auto circuits = tb.build_wan_path(
+  tb.build_wan_path(
       sunnyvale, geneva,
       {link::wan::oc192_pos(link::wan::kSunnyvaleChicagoKm),
        link::wan::oc48_pos(link::wan::kChicagoGenevaKm)},
@@ -63,7 +68,13 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
   out.gbps = r.throughput_gbps();
   out.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
   out.retransmits = conn.client->stats().retransmits;
-  for (auto* c : circuits) out.drops += c->drops_queue();
+  tools::DropReport ledger;
+  ledger.add_testbed(tb);
+  out.drops = ledger.total_drops();
+  for (const auto& cause : ledger.drops) {
+    if (!out.drop_sites.empty()) out.drop_sites += ", ";
+    out.drop_sites += cause.cause + "=" + std::to_string(cause.count);
+  }
   out.cwnd_timeline = cwnd.store().points("cwnd");
   return out;
 }
@@ -97,8 +108,9 @@ int main() {
   std::printf("\n-- buffers far above BDP (the failure mode, §4.2) --\n");
   const WanOutcome bad = run_wan(256u * 1024 * 1024);
   std::printf("  throughput : %.3f Gb/s\n", bad.gbps);
-  std::printf("  congestion drops: %llu, retransmits: %llu\n",
+  std::printf("  congestion drops: %llu (%s), retransmits: %llu\n",
               static_cast<unsigned long long>(bad.drops),
+              bad.drops == 0 ? "none" : bad.drop_sites.c_str(),
               static_cast<unsigned long long>(bad.retransmits));
   std::printf(
       "  after one loss at this BDP, AIMD needs %s to recover (Table 1)\n",

@@ -131,7 +131,7 @@ void Link::Channel::commit_entry(std::size_t index) {
 }
 
 void Link::transmit(const NetDevice* from, const net::Packet& pkt,
-                    sim::InlineCallback tx_done) {
+                    sim::InlineCallback&& tx_done) {
   assert(from == a_ || from == b_);
   const bool forward = (from == a_);
   Direction& dir = forward ? ab_ : ba_;

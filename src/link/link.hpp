@@ -95,7 +95,7 @@ class Link {
   /// (optional) fires when serialization completes (transmitter freed),
   /// whether or not the frame was dropped.
   void transmit(const NetDevice* from, const net::Packet& pkt,
-                sim::InlineCallback tx_done = nullptr);
+                sim::InlineCallback&& tx_done = nullptr);
 
   const LinkSpec& spec() const { return spec_; }
   const std::string& name() const { return name_; }

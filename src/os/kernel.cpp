@@ -35,18 +35,20 @@ sim::Resource& Kernel::app_cpu() {
 int Kernel::active_cpus() const { return static_cast<int>(cpus_.size()); }
 
 void Kernel::copy_job(sim::Resource& cpu, sim::SimTime cpu_cost,
-                      sim::SimTime bus_cost, Done done) {
-  auto join = join_pool_.acquire();
-  join->remaining = 2;
-  join->done = std::move(done);
-  auto arm = [join]() {
-    if (--join->remaining == 0 && join->done) {
-      join->done();
-      join->done = nullptr;  // release captures now, not at node reuse
-    }
-  };
-  cpu.submit(cpu_cost, arm);
-  membus_.submit(bus_cost, std::move(arm));
+                      sim::SimTime bus_cost, Done&& done) {
+  // The copy ends when the later of its two jobs does, so only that job
+  // carries `done` and the earlier one schedules nothing. On a tie the
+  // membus job, submitted second, carries it: `done` keeps the later of
+  // the two completions' places in the (time, seq) order
+  // (docs/architecture.md, "Scheduler internals").
+  if (cpu.finish_if_submitted(cpu_cost) >
+      membus_.finish_if_submitted(bus_cost)) {
+    cpu.submit(cpu_cost, std::move(done));
+    membus_.submit(bus_cost);
+  } else {
+    cpu.submit(cpu_cost);
+    membus_.submit(bus_cost, std::move(done));
+  }
 }
 
 void Kernel::app_write(std::uint64_t payload_bytes, int nsegs,

@@ -118,7 +118,7 @@ class Kernel {
   /// Schedules `done` when both a CPU job and a memory-bus job complete;
   /// models a memcpy occupying core and bus simultaneously.
   void copy_job(sim::Resource& cpu, sim::SimTime cpu_cost,
-                sim::SimTime bus_cost, Done done);
+                sim::SimTime bus_cost, Done&& done);
 
  private:
   double mode_factor() const { return costs_.mode_factor(config_.mode); }
@@ -128,20 +128,12 @@ class Kernel {
     return host_faults_ != nullptr && host_faults_->active();
   }
 
-  /// Fan-in join for copy_job: one pooled record replaces the two
-  /// make_shared allocations the old implementation paid per copy.
-  struct CopyJoin {
-    int remaining = 0;
-    Done done;
-  };
-
   sim::Simulator& sim_;
   hw::SystemSpec spec_;
   KernelConfig config_;
   KernelCosts costs_;
   sim::Resource membus_;
   std::vector<std::unique_ptr<sim::Resource>> cpus_;
-  sim::Pool<CopyJoin> join_pool_;
   sim::Pool<Deliver> deliver_pool_;
   net::PacketBatchPool batch_pool_;  // for the vector convenience overload
   std::uint64_t csum_drops_ = 0;

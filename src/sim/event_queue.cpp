@@ -6,7 +6,7 @@
 
 namespace xgbe::sim {
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+EventId EventQueue::schedule(SimTime at, Callback&& cb) {
   // Sifts copy keys, never callbacks: a key must stay a plain 24-byte record.
   static_assert(std::is_trivially_copyable_v<Entry>);
   static_assert(sizeof(Entry) <= 24);
@@ -22,23 +22,21 @@ LaneId EventQueue::open_lane() {
   return static_cast<LaneId>(lanes_.size() - 1);
 }
 
-void EventQueue::schedule_in_lane(LaneId id, SimTime at, Callback cb) {
+void EventQueue::schedule_in_lane(LaneId id, SimTime at, Callback&& cb) {
   const std::uint64_t seq = next_seq_++;
+  Lane& lane = lanes_[id];
+  if (lane.count == 0 || at >= lane.tail) {
+    const bool head = lane.count == 0;
+    lane.tail = at;
+    enqueue(lane, at, seq, std::move(cb));
+    if (head) push_heap(Entry{at, seq, 0, id});
+    return;
+  }
+  // Earlier than the lane's tail (a fault delay, a duplicate copy): the
+  // FIFO would misorder it, so it waits in the heap like any event.
   const std::uint32_t h = acquire_handle();
   callbacks_[h] = std::move(cb);
-  Lane& lane = lanes_[id];
-  if (!lane.armed) {
-    lane.armed = true;
-    lane.tail = at;
-    push_heap(Entry{at, seq, h, id});
-  } else if (at >= lane.tail) {
-    lane.tail = at;
-    enqueue(lane, Entry{at, seq, h, id});
-  } else {
-    // Earlier than the lane's tail (a fault delay, a duplicate copy): the
-    // FIFO would misorder it, so it waits in the heap like any event.
-    push_heap(Entry{at, seq, h, kNoLane});
-  }
+  push_heap(Entry{at, seq, h, kNoLane});
 }
 
 void EventQueue::cancel(EventId id) {
@@ -49,36 +47,36 @@ void EventQueue::cancel(EventId id) {
   // this call, once the queue is consistent again, so a capture whose
   // destructor schedules or cancels events sees a well-formed queue.
   const Callback dead = std::move(callbacks_[id.slot]);
+  if (hole_) refill_root();  // moves entries: read the position afterwards
+  const std::uint32_t pos = handles_[id.slot].pos;
   release_handle(id.slot);
-  remove_at(rec.pos);
-}
-
-SimTime EventQueue::next_time() const {
-  assert(!heap_.empty());
-  return heap_.front().time;
+  remove_at(pos);
 }
 
 EventQueue::Fired EventQueue::pop() {
-  assert(!heap_.empty());
+  assert(!empty());
+  if (hole_) refill_root();
   const Entry root = heap_.front();
-  release_handle(root.handle);
+  Fired fired{root.time, nullptr};
   if (root.lane == kNoLane) {
-    remove_at(0);
-  } else {
-    Lane& lane = lanes_[root.lane];
-    if (lane.queued != 0) {
-      // The lane's next key replaces the root: one sift, no push.
-      heap_.front() = lane.ring[lane.first];
-      lane.first = (lane.first + 1) &
-                   static_cast<std::uint32_t>(lane.ring.size() - 1);
-      --lane.queued;
-      sift_down(0);
-    } else {
-      lane.armed = false;
-      remove_at(0);
-    }
+    fired.cb = std::move(callbacks_[root.handle]);
+    release_handle(root.handle);
+    vacate_root();
+    return fired;
   }
-  return Fired{root.time, std::move(callbacks_[root.handle])};
+  Lane& lane = lanes_[root.lane];
+  LaneSlot* const slots = lane.slots();
+  fired.cb = std::move(slots[lane.first].cb);
+  lane.first = (lane.first + 1) & lane.mask();
+  if (--lane.count != 0) {
+    // The lane's next event replaces the root: one sift, no push.
+    const LaneSlot& next = slots[lane.first];
+    heap_.front() = Entry{next.time, next.seq, 0, root.lane};
+    sift_down(0);
+  } else {
+    vacate_root();
+  }
+  return fired;
 }
 
 std::uint32_t EventQueue::acquire_handle() {
@@ -101,41 +99,70 @@ void EventQueue::release_handle(std::uint32_t h) {
   free_handles_.push_back(h);
 }
 
-void EventQueue::push_heap(const Entry& e) {
-  heap_.push_back(e);
-  sift_up(heap_.size() - 1);
-}
-
-void EventQueue::enqueue(Lane& lane, const Entry& e) {
-  const auto cap = static_cast<std::uint32_t>(lane.ring.size());
-  if (lane.queued == cap) {
-    // Full (or never used): double the ring, unrolled to start at 0.
-    std::vector<Entry> grown(cap == 0 ? 8 : 2 * cap);
-    for (std::uint32_t i = 0; i < lane.queued; ++i) {
-      grown[i] = lane.ring[(lane.first + i) & (cap - 1)];
+void EventQueue::enqueue(Lane& lane, SimTime at, std::uint64_t seq,
+                         Callback&& cb) {
+  const std::uint32_t mask = lane.mask();
+  if (lane.count == mask + 1) {
+    // Full: double the ring, unrolled to start at 0.
+    std::vector<LaneSlot> grown(2 * (mask + 1));
+    LaneSlot* const old = lane.slots();
+    for (std::uint32_t i = 0; i < lane.count; ++i) {
+      grown[i] = std::move(old[(lane.first + i) & mask]);
     }
     lane.ring.swap(grown);
     lane.first = 0;
   }
-  const auto mask = static_cast<std::uint32_t>(lane.ring.size() - 1);
-  lane.ring[(lane.first + lane.queued) & mask] = e;
-  ++lane.queued;
+  LaneSlot& slot = lane.slots()[(lane.first + lane.count) & lane.mask()];
+  slot.time = at;
+  slot.seq = seq;
+  slot.cb = std::move(cb);
+  ++lane.count;
+}
+
+void EventQueue::push_heap(const Entry& e) {
+  if (hole_) {
+    hole_ = false;
+    heap_.front() = e;
+    sift_down(0);
+    return;
+  }
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1);
+}
+
+void EventQueue::vacate_root() {
+  if (heap_.size() == 1) {
+    heap_.pop_back();
+  } else {
+    hole_ = true;
+  }
+}
+
+void EventQueue::refill_root() {
+  hole_ = false;
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  sift_down(0);
 }
 
 void EventQueue::remove_at(std::size_t i) {
   const std::size_t last = heap_.size() - 1;
-  if (i != last) {
-    heap_[i] = heap_[last];
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+  if (i == last) {
     heap_.pop_back();
-    if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity])) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
-  } else {
-    heap_.pop_back();
+    return;
   }
+  heap_[i] = heap_[last];
+  heap_.pop_back();
+  if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void EventQueue::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  if (e.lane == kNoLane) handles_[e.handle].pos = static_cast<std::uint32_t>(i);
 }
 
 void EventQueue::sift_up(std::size_t i) {
@@ -143,12 +170,10 @@ void EventQueue::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t p = (i - 1) / kArity;
     if (!before(e, heap_[p])) break;
-    heap_[i] = heap_[p];
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+    place(i, heap_[p]);
     i = p;
   }
-  heap_[i] = e;
-  handles_[e.handle].pos = static_cast<std::uint32_t>(i);
+  place(i, e);
 }
 
 void EventQueue::sift_down(std::size_t i) {
@@ -163,12 +188,10 @@ void EventQueue::sift_down(std::size_t i) {
       if (before(heap_[c], heap_[best])) best = c;
     }
     if (!before(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = e;
-  handles_[e.handle].pos = static_cast<std::uint32_t>(i);
+  place(i, e);
 }
 
 }  // namespace xgbe::sim

@@ -3,23 +3,32 @@
 // Events are ordered by (time, insertion sequence); the sequence tiebreak
 // makes simulations bit-for-bit reproducible regardless of heap internals.
 //
-// The pending set is an indexed 4-ary min-heap of slim (time, seq, handle)
-// keys: every live event's heap position is tracked through a handle table,
-// so cancel() removes the entry from the heap in O(log n) instead of
-// deferring to a lazy skip list. Callbacks never move during a sift — they
-// sit in a slab indexed by handle slot, written once by schedule() and moved
-// out once by pop() or cancel(). Handles are (slot, generation) pairs;
+// The pending set is an indexed 4-ary min-heap of slim (time, seq, ref)
+// keys. An ordinary event's key refers to a handle slot: the handle table
+// tracks its heap position, so cancel() removes the entry in O(log n)
+// instead of deferring to a lazy skip list. Its callback sits in a slab
+// indexed by handle slot, written once by schedule() and moved out once by
+// pop() or cancel(), never by a sift. Handles are (slot, generation) pairs;
 // firing or cancelling an event bumps the slot's generation, which makes
 // stale EventIds (cancel-after-fire, duplicate cancel) exact no-ops.
 //
 // FIFO sources (resource completions, per-direction link deliveries) feed
-// lanes instead: a lane queues keys whose times never decrease, and only its
-// head sits in the heap, so thousands of in-flight frames cost one heap
-// entry. A lane is sorted by (time, seq), so its head is its minimum and the
-// heap's minimum is still the global one: the pop order is exactly the one
-// plain schedule() calls would give.
+// lanes instead. A lane owns its events outright: a power-of-two ring of
+// (time, seq, callback) slots whose times never decrease. Only its head's
+// key sits in the heap, so thousands of in-flight frames cost one heap
+// entry, and lane events take no handle: a sift that moves a lane head
+// writes no handle record. A lane is sorted by (time, seq), so its head is
+// its minimum and the heap's minimum is still the global one: the pop order
+// is exactly the one plain schedule() calls would give.
+//
+// A pop that does not refill the root leaves it as a hole. A push made
+// before anything else (the fired callback's, typically) fills the hole
+// with one sift-down instead of the removal's sift-down plus its own
+// sift-up. next_time(), pop() and cancel() fill a hole first from the last
+// entry, as a plain removal would have.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -44,29 +53,36 @@ class EventQueue {
   using Callback = InlineCallback;
 
   /// Schedules `cb` at absolute time `at`. Returns a handle for cancel().
-  EventId schedule(SimTime at, Callback cb);
+  EventId schedule(SimTime at, Callback&& cb);
 
-  /// Opens an empty lane: one slot in the lane table. The lane allocates
-  /// its ring only once it first queues an event behind its head.
+  /// Opens an empty lane: one entry in the lane table, with room for one
+  /// event. The lane allocates a ring (doubling as it fills) only when it
+  /// first holds two events at once.
   LaneId open_lane();
 
   /// Schedules `cb` at `at` on `lane`, taking its sequence number now, so it
   /// fires exactly where schedule(at, cb) would have. Lane events cannot be
   /// cancelled. An event earlier than the lane's newest one does not fit the
   /// FIFO and becomes an ordinary heap entry (keeping its sequence number).
-  void schedule_in_lane(LaneId lane, SimTime at, Callback cb);
+  void schedule_in_lane(LaneId lane, SimTime at, Callback&& cb);
 
   /// Cancels a previously scheduled event and destroys its callback (and
   /// with it every capture) before returning. Cancelling an already-fired
   /// or already-cancelled event is a harmless no-op.
   void cancel(EventId id);
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return heap_.size() == (hole_ ? 1u : 0u); }
   /// Heap entries: ordinary events plus one head per non-empty lane.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return heap_.size() - (hole_ ? 1 : 0); }
 
-  /// Time of the earliest live event. Precondition: !empty().
-  SimTime next_time() const;
+  /// Time of the earliest live event. Precondition: !empty(). Not const:
+  /// it fills a hole the last pop left, so a run that polls it reads the
+  /// root.
+  SimTime next_time() {
+    assert(!empty());
+    if (hole_) refill_root();
+    return heap_.front().time;
+  }
 
   /// Pops and returns the earliest live event. Precondition: !empty().
   struct Fired {
@@ -84,17 +100,30 @@ class EventQueue {
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // determinism tiebreak: (time, seq) is a total order
-    std::uint32_t handle;
-    std::uint32_t lane;  // kNoLane for ordinary entries
+    std::uint32_t handle;  // ordinary entries only
+    std::uint32_t lane;    // a lane head's lane; kNoLane for ordinary entries
   };
 
-  // Keys queued behind a lane's head, in a power-of-two ring.
+  struct LaneSlot {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    Callback cb;
+  };
+
+  // A lane's events, head first, in a power-of-two ring. The ring starts
+  // as the one inline slot `solo`, so a lane that never holds two events at
+  // once allocates nothing: set-up touches dozens of lanes a few times each.
   struct Lane {
-    std::vector<Entry> ring;
-    std::uint32_t first = 0;   // ring index of the oldest queued key
-    std::uint32_t queued = 0;  // keys in the ring (the head is not one)
-    bool armed = false;        // the lane's head sits in heap_
-    SimTime tail = 0;          // time of the lane's newest event
+    LaneSlot solo;
+    std::vector<LaneSlot> ring;  // empty until the lane needs two slots
+    std::uint32_t first = 0;     // ring index of the head
+    std::uint32_t count = 0;     // events in the lane, the head included
+    SimTime tail = 0;            // time of the lane's newest event
+
+    LaneSlot* slots() { return ring.empty() ? &solo : ring.data(); }
+    std::uint32_t mask() const {
+      return ring.empty() ? 0 : static_cast<std::uint32_t>(ring.size() - 1);
+    }
   };
 
   struct HandleRec {
@@ -110,13 +139,18 @@ class EventQueue {
 
   std::uint32_t acquire_handle();
   void release_handle(std::uint32_t h);
+  static void enqueue(Lane& lane, SimTime at, std::uint64_t seq,
+                      Callback&& cb);
   void push_heap(const Entry& e);
-  static void enqueue(Lane& lane, const Entry& e);
+  void vacate_root();
+  void refill_root();
   void remove_at(std::size_t i);
+  void place(std::size_t i, const Entry& e);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  std::vector<Entry> heap_;
+  std::vector<Entry> heap_;  // heap_[0] is stale while hole_ is set
+  bool hole_ = false;
   std::vector<HandleRec> handles_;
   std::vector<Callback> callbacks_;  // slab, indexed like handles_
   std::vector<std::uint32_t> free_handles_;

@@ -2,16 +2,20 @@
 
 namespace xgbe::sim {
 
-SimTime Resource::submit(SimTime cost, InlineCallback done) {
+SimTime Resource::submit(SimTime cost, InlineCallback&& done) {
   if (cost < 0) cost = 0;
-  const SimTime start = available_at();
-  const SimTime finish = start + cost;
+  const SimTime finish = finish_if_submitted(cost);
   busy_until_ = finish;
   busy_accum_ += cost;
   ++jobs_;
-  // Always schedule the completion event (even without a callback) so the
-  // simulation clock covers all resource activity.
-  sim_.schedule_in_lane(lane_, finish, std::move(done));
+  // A completion nobody waits for is not an event: it only has to keep the
+  // clock running until the job ends, so run() still covers all resource
+  // activity.
+  if (done) {
+    sim_.schedule_in_lane(lane_, finish, std::move(done));
+  } else {
+    sim_.hold_until(lane_, finish);
+  }
   return finish;
 }
 

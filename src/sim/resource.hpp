@@ -28,12 +28,19 @@ class Resource {
   Resource& operator=(const Resource&) = delete;
 
   /// Enqueues a job of length `cost`; `done` (optional) fires at completion.
-  /// Returns the completion time.
-  SimTime submit(SimTime cost, InlineCallback done = nullptr);
+  /// Returns the completion time. A job without `done` schedules no event:
+  /// it only keeps the simulator's clock running to its completion
+  /// (Simulator::hold_until).
+  SimTime submit(SimTime cost, InlineCallback&& done = nullptr);
 
   /// Earliest time a newly submitted job would start.
   SimTime available_at() const {
     return busy_until_ > sim_.now() ? busy_until_ : sim_.now();
+  }
+
+  /// Completion time of a job of length `cost` if it were submitted now.
+  SimTime finish_if_submitted(SimTime cost) const {
+    return available_at() + (cost < 0 ? 0 : cost);
   }
 
   /// True if a job submitted now would start immediately.

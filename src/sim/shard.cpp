@@ -34,6 +34,10 @@ ShardedEngine::ShardedEngine(std::size_t shard_count) {
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Simulator>());
+    // Idle work stays a pending event on a shard: a window starts at the
+    // earliest pending event, so the markers are part of the window
+    // sequence (docs/architecture.md, "Scheduler internals").
+    shards_.back()->shard_markers_ = true;
   }
 }
 
@@ -60,7 +64,7 @@ std::uint64_t ShardedEngine::executed_events() const {
   return total;
 }
 
-SimTime ShardedEngine::global_next_event_time() const {
+SimTime ShardedEngine::global_next_event_time() {
   SimTime earliest = kForever;
   for (const auto& shard : shards_) {
     earliest = std::min(earliest, shard->next_event_time());

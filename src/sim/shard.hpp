@@ -187,7 +187,7 @@ class ShardedEngine {
   };
 
   /// Earliest pending event time across shards (SimTime max when drained).
-  SimTime global_next_event_time() const;
+  SimTime global_next_event_time();
 
   /// Executes one window: every shard runs to `edge_inclusive`.
   void execute_window(SimTime edge_inclusive);

@@ -25,21 +25,32 @@ void Simulator::run_until(SimTime horizon) {
     auto fired = queue_.pop();
     now_ = fired.time;
     ++executed_;
-    // Null callbacks are legal (e.g. Resource completion markers that only
-    // exist to advance the clock).
+    // Null callbacks are legal: a ShardedEngine shard's hold_until markers
+    // only advance the clock.
     if (fired.cb) fired.cb();
   }
-  // The pending set drained (or stop() fired) before the horizon: advance
-  // the clock to the horizon anyway so bounded waits always make progress.
-  // run() passes SimTime max as its horizon; leave the clock alone there.
-  if (!stopped_ && horizon != std::numeric_limits<SimTime>::max()) {
-    if (now_ < horizon) now_ = horizon;
-    // State is frozen up to the horizon, so every boundary in (last event,
-    // horizon] is observable now. run() (horizon = max) takes no tail —
-    // there is no bound to observe up to.
-    if (hook_ != nullptr) {
-      while (hook_->due() <= horizon) hook_->advance(hook_->due());
+  if (stopped_) return;
+  // The pending set drained. An unbounded run still covers idle work
+  // (hold_until): it observes every hook boundary below the idle horizon
+  // and leaves the clock there, as an event at the horizon would.
+  if (horizon == std::numeric_limits<SimTime>::max()) {
+    if (idle_horizon_ > now_) {
+      if (hook_ != nullptr) {
+        while (hook_->due() < idle_horizon_) hook_->advance(hook_->due());
+      }
+      now_ = idle_horizon_;
     }
+    return;
+  }
+  // Advance the clock to the horizon anyway so bounded waits always make
+  // progress. Idle work pending past the horizon puts it there, as any
+  // pending event does.
+  if (now_ < horizon || idle_horizon_ > now_) now_ = horizon;
+  // State is frozen up to the horizon, so every boundary in (last event,
+  // horizon] is observable now. run() (horizon = max) takes no tail —
+  // there is no bound to observe up to.
+  if (hook_ != nullptr) {
+    while (hook_->due() <= horizon) hook_->advance(hook_->due());
   }
 }
 

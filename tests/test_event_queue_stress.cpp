@@ -3,9 +3,11 @@
 // by seeded schedule/cancel/pop interleavings. Covers the hazards the heap's
 // handle table must get right: cancel-after-fire, duplicate cancels, and
 // slot reuse aliasing. The same reference checks FIFO lanes mixed with
-// ordinary events, out-of-order lane pushes included. Further tests pin the
-// callback slab's ownership: captures die at cancel time, survive slab
-// growth mid-fire, and die with the queue.
+// ordinary events: out-of-order lane pushes, lane callbacks that grow their
+// own lane's ring while they run, captures whose destructors schedule, and
+// cancels and next_time() while a pop has left the root empty. Further
+// tests pin the callback slab's ownership: captures die at cancel time,
+// survive slab growth mid-fire, and die with the queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,9 +110,14 @@ TEST(EventQueueStress, MatchesNaiveReference) {
 // Lanes against the same reference: ordinary events, cancels, and events
 // on four lanes. Most lane pushes are in order (often at equal times, so
 // ties cross lanes and the heap); some land before their lane's tail and
-// must take the ordinary-entry fallback; some lane callbacks schedule into
-// their own lane as they fire, as a resource's completion starts its next
-// job. Pop order must be exactly the (time, seq) order.
+// must take the ordinary-entry fallback; some lane callbacks schedule a
+// burst into their own lane as they fire, as a resource's completion starts
+// its next job, growing the lane's ring while its head's callback runs.
+// Some events carry a capture whose destructor schedules a further event,
+// when it dies after firing or inside cancel(). Pops are often followed at
+// once by a push, and next_time() is checked after half the steps, so
+// pushes, cancels and next_time() all meet a root left empty by the last
+// pop. Pop order must be exactly the (time, seq) order.
 struct LaneHarness {
   explicit LaneHarness(std::uint64_t seed) : rng(seed) {
     for (int i = 0; i < 4; ++i) lanes.push_back({q.open_lane(), 0});
@@ -121,6 +128,21 @@ struct LaneHarness {
     SimTime tail;  // newest time pushed; later pushes before it fall back
   };
 
+  // Schedules one ordinary event from its destructor, unless moved from.
+  struct Spawner {
+    LaneHarness* h;
+    bool armed = true;
+    explicit Spawner(LaneHarness* harness) : h(harness) {}
+    Spawner(Spawner&& o) noexcept : h(o.h) { o.armed = false; }
+    Spawner(const Spawner&) = delete;
+    ~Spawner() {
+      if (armed) {
+        ++h->spawned;
+        h->ordinary(h->now + h->step());
+      }
+    }
+  };
+
   SimTime step() { return 8 * static_cast<SimTime>(rng.next_below(3)); }
 
   void ordinary(SimTime t) {
@@ -129,15 +151,32 @@ struct LaneHarness {
     ref.push_back({t, tag, true});
   }
 
+  void ordinary_spawning(SimTime t) {
+    const std::uint64_t tag = ref.size();
+    ids.push_back(q.schedule(
+        t, [this, tag, spawn = Spawner(this)] { last_fired = tag; }));
+    ref.push_back({t, tag, true});
+  }
+
   void in_lane(std::size_t k, SimTime t) {
     const std::uint64_t tag = ref.size();
     ids.push_back(EventId{});  // lane events are not cancellable
     ref.push_back({t, tag, true});
-    const bool chain = rng.next_below(4) == 0;
-    q.schedule_in_lane(lanes[k].id, t, [this, tag, k, chain] {
-      last_fired = tag;
-      if (chain) in_lane(k, std::max(lanes[k].tail, now) + step());
-    });
+    // Under one child per event on average, so chains die out.
+    const std::uint64_t roll = rng.next_below(32);
+    const int burst = roll < 6 ? 1 : roll == 6 ? 12 : 0;
+    const bool spawn = rng.next_below(16) == 0;
+    if (spawn) {
+      q.schedule_in_lane(lanes[k].id, t,
+                         [this, tag, s = Spawner(this)] { last_fired = tag; });
+    } else {
+      q.schedule_in_lane(lanes[k].id, t, [this, tag, k, burst] {
+        last_fired = tag;
+        for (int i = 0; i < burst; ++i) {
+          in_lane(k, std::max(lanes[k].tail, now) + step());
+        }
+      });
+    }
     lanes[k].tail = std::max(lanes[k].tail, t);
     ++lane_pushes;
   }
@@ -150,6 +189,7 @@ struct LaneHarness {
   SimTime now = 0;
   std::uint64_t last_fired = ~0ull;
   std::uint64_t lane_pushes = 0;
+  std::uint64_t spawned = 0;
 };
 
 TEST(EventQueueStress, LanesMatchNaiveReference) {
@@ -157,26 +197,33 @@ TEST(EventQueueStress, LanesMatchNaiveReference) {
     SCOPED_TRACE(seed);
     LaneHarness h(seed);
     std::uint64_t fallbacks = 0;
+    std::uint64_t pop_pushes = 0;
 
     const auto pop_one = [&h] {
       const std::size_t expect = ref_min(h.ref);
       ASSERT_LT(expect, h.ref.size());
       ASSERT_FALSE(h.q.empty());
-      auto fired = h.q.pop();
-      ASSERT_EQ(fired.time, h.ref[expect].time);
-      ASSERT_GE(fired.time, h.now);
-      h.now = fired.time;
-      h.last_fired = ~0ull;
-      fired.cb();
-      ASSERT_EQ(h.last_fired, h.ref[expect].tag);
-      h.ref[expect].live = false;
+      ASSERT_EQ(h.q.next_time(), h.ref[expect].time);
+      {
+        auto fired = h.q.pop();
+        ASSERT_EQ(fired.time, h.ref[expect].time);
+        ASSERT_GE(fired.time, h.now);
+        h.now = fired.time;
+        h.last_fired = ~0ull;
+        fired.cb();
+        ASSERT_EQ(h.last_fired, h.ref[expect].tag);
+        h.ref[expect].live = false;
+      }  // a Spawner capture schedules here, as the callback dies
     };
 
     for (int step = 0; step < 10000; ++step) {
       const std::uint64_t roll = h.rng.next_below(100);
       const std::size_t k = h.rng.next_below(h.lanes.size());
-      if (roll < 20) {
+      if (roll < 15) {
         h.ordinary(h.now + 8 * static_cast<SimTime>(h.rng.next_below(16)));
+      } else if (roll < 20) {
+        h.ordinary_spawning(h.now +
+                            8 * static_cast<SimTime>(h.rng.next_below(16)));
       } else if (roll < 45) {
         h.in_lane(k, std::max(h.lanes[k].tail, h.now) + h.step());
       } else if (roll < 50) {
@@ -190,6 +237,16 @@ TEST(EventQueueStress, LanesMatchNaiveReference) {
         if (h.ids[c] == EventId{}) continue;
         h.q.cancel(h.ids[c]);
         h.ref[c].live = false;
+      } else if (roll < 70 && ref_live(h.ref) != 0) {
+        // Pop, then push at once: the push meets the root the pop left.
+        pop_one();
+        if (HasFatalFailure()) return;
+        if (h.rng.next_below(2) == 0) {
+          h.ordinary(h.now + 8 * static_cast<SimTime>(h.rng.next_below(16)));
+        } else {
+          h.in_lane(k, std::max(h.lanes[k].tail, h.now) + h.step());
+        }
+        ++pop_pushes;
       } else if (ref_live(h.ref) != 0) {
         pop_one();
         if (HasFatalFailure()) return;
@@ -197,16 +254,50 @@ TEST(EventQueueStress, LanesMatchNaiveReference) {
       const std::size_t live = ref_live(h.ref);
       ASSERT_EQ(h.q.empty(), live == 0);
       ASSERT_LE(h.q.size(), live);
+      // Not every step: next_time() fills an empty root, and the next
+      // step's cancel or push should meet one too.
+      if (live != 0 && h.rng.next_below(2) == 0) {
+        ASSERT_EQ(h.q.next_time(), h.ref[ref_min(h.ref)].time);
+      }
     }
     while (!h.q.empty()) {
       pop_one();
       if (HasFatalFailure()) return;
     }
     EXPECT_EQ(ref_live(h.ref), 0u);
-    // The mix really exercised the lanes and the fallback path.
+    // The mix really exercised the lanes, the fallback path, destructors
+    // that schedule, and pop-then-push.
     EXPECT_GT(h.lane_pushes, 3000u);
     EXPECT_GT(fallbacks, 50u);
+    EXPECT_GT(h.spawned, 200u);
+    EXPECT_GT(pop_pushes, 500u);
   }
+}
+
+// A pop that leaves the root empty: cancel(), next_time() and pop() fill
+// the empty root first, and a push fills it directly.
+TEST(EventQueueStress, EmptiedRootServesNextTimeCancelAndPush) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int t : {5, 40, 10, 30, 20, 50, 60}) {
+    q.schedule(t, [&order, t] { order.push_back(t); });
+  }
+  const EventId at_ten = q.schedule(10, [&order] { order.push_back(-10); });
+  q.pop().cb();  // 5; the root is left empty
+  EXPECT_EQ(q.size(), 7u);
+  q.cancel(at_ten);
+  EXPECT_EQ(q.size(), 6u);
+  EXPECT_EQ(q.next_time(), 10);
+  q.pop().cb();  // 10; the root is left empty again
+  EXPECT_EQ(q.next_time(), 20);
+  q.pop().cb();  // 20
+  q.schedule(25, [&order] { order.push_back(25); });  // into the empty root
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.next_time(), 25);
+  q.pop().cb();  // 25
+  q.pop().cb();  // 30, with the root empty before it
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{5, 10, 20, 25, 30, 40, 50, 60}));
 }
 
 // Structural check: an in-order stream on one lane is one heap entry, however

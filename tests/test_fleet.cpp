@@ -248,6 +248,37 @@ TEST(FleetScenarios, AllToAllRunsMoreRoundsThanHosts) {
   EXPECT_TRUE(ledger.connections_conserved()) << ledger.render();
 }
 
+// The engine starts each window at the earliest pending event on any
+// shard, idle-work markers included, and a window's barrier is where
+// cross-shard entries take their queue sequence numbers. Moving a window
+// start therefore flips (time, seq) ties. This RPC-churn point (the one the
+// simulator-speed benchmark runs for its seed 5, on its 2-rack x 4-host,
+// 2-spine fabric) is one such a flip changes, so it pins the window
+// sequence at 1 and 2 shards.
+TEST(FleetScenarios, RpcChurnPinsTheWindowSequence) {
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    FabricOptions fopt;
+    fopt.racks = 2;
+    fopt.hosts_per_rack = 4;
+    fopt.spines = 2;
+    fopt.trunks_per_spine = 2;
+    fopt.shards = shards;
+    fopt.threads = 1;
+    Fabric fabric(fopt);
+    fleet::Options rpc;
+    rpc.scenario = fleet::Scenario::kRpcChurn;
+    rpc.rpc.seed = 0x63033b0ca389c35aULL;  // splitmix64(5)
+    rpc.rpc.connections = 2000;
+    rpc.rpc.arrival_rate_hz = 20000.0;
+    const fleet::Result res = fleet::run(fabric, rpc);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.rpc.fct_sum, 1247785008277);
+    EXPECT_EQ(res.rpc.fct_max, 40469382932);
+    EXPECT_EQ(res.bytes_consumed, 5817381u);
+  }
+}
+
 TEST(FleetScenarios, AllToAllRejectsASingleHost) {
   FabricOptions fopt = test_fabric(1);
   fopt.racks = 1;

@@ -2,6 +2,8 @@
 // kernel cost model, kernel runtime paths.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/host_fault.hpp"
 #include "hw/presets.hpp"
 #include "net/headers.hpp"
@@ -170,6 +172,78 @@ TEST_F(KernelFixture, AppReadIncludesWakeupDelay) {
   EXPECT_GT(done_at, k.costs().wakeup);
   // But wakeup must not be charged as CPU busy time.
   EXPECT_LT(k.app_cpu().busy_time(), k.costs().wakeup);
+}
+
+// One copy through app_write or app_read: the memory bus is first loaded
+// with `bus_preload`, and two plain events at `probe_at` bracket the call
+// ('a' scheduled before it, 'b' after), so the log shows where the copy's
+// completion ('d') falls among events at the same time.
+struct CopyRun {
+  sim::SimTime cpu_cost = 0;  // the copy's own job lengths
+  sim::SimTime bus_cost = 0;
+  sim::SimTime done_at = -1;
+  std::string order;
+};
+
+CopyRun run_copy(bool read, sim::SimTime bus_preload, sim::SimTime probe_at) {
+  sim::Simulator sim;
+  Kernel k(sim, hw::presets::pe2650(), KernelConfig{});
+  CopyRun out;
+  if (bus_preload > 0) k.membus().submit(bus_preload);
+  if (probe_at > 0) sim.schedule_at(probe_at, [&out] { out.order += 'a'; });
+  auto done = [&out, &sim] {
+    out.done_at = sim.now();
+    out.order += 'd';
+  };
+  if (read) {
+    k.app_read(65536, done);
+  } else {
+    k.app_write(65536, 8, 16384, done);
+  }
+  if (probe_at > 0) sim.schedule_at(probe_at, [&out] { out.order += 'b'; });
+  sim.run();
+  out.cpu_cost = k.app_cpu().busy_time();
+  out.bus_cost = k.membus().busy_time() - bus_preload;
+  return out;
+}
+
+// The copy's completion fires when the later of its CPU and memory-bus jobs
+// ends, whichever that is and on a tie, at the place in the (time, seq)
+// order the later job's completion event held.
+TEST(KernelCopy, DoneFiresWhenTheLaterJobEnds) {
+  for (const bool read : {false, true}) {
+    SCOPED_TRACE(read ? "app_read" : "app_write");
+    // Both jobs start together: after the reader's wakeup for a read.
+    const sim::SimTime start =
+        read ? KernelCosts::scaled_for(hw::presets::pe2650()).wakeup : 0;
+    const CopyRun plain = run_copy(read, 0, 0);
+    ASSERT_GT(plain.cpu_cost, plain.bus_cost);
+    const sim::SimTime cpu_end = start + plain.cpu_cost;
+    // A write copies at call time, so the probe after the call comes after
+    // the completion; a read copies inside its wakeup event, later than
+    // both probes were scheduled.
+    const std::string expect_order = read ? "abd" : "adb";
+
+    // CPU later: nothing else on the bus.
+    EXPECT_EQ(plain.done_at, cpu_end);
+    const CopyRun cpu_later = run_copy(read, 0, cpu_end);
+    EXPECT_EQ(cpu_later.done_at, cpu_end);
+    EXPECT_EQ(cpu_later.order, expect_order);
+
+    // Tie: the bus job is held back until it ends with the CPU job.
+    const sim::SimTime tie_preload = cpu_end - plain.bus_cost;
+    ASSERT_GT(tie_preload, start);
+    const CopyRun tie = run_copy(read, tie_preload, cpu_end);
+    EXPECT_EQ(tie.done_at, cpu_end);
+    EXPECT_EQ(tie.order, expect_order);
+
+    // Bus later: one microsecond more of prior bus work.
+    const sim::SimTime bus_end = cpu_end + sim::usec(1);
+    const CopyRun bus_later =
+        run_copy(read, tie_preload + sim::usec(1), bus_end);
+    EXPECT_EQ(bus_later.done_at, bus_end);
+    EXPECT_EQ(bus_later.order, expect_order);
+  }
 }
 
 TEST_F(KernelFixture, RxInterruptDeliversInOrder) {

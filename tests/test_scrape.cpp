@@ -7,6 +7,8 @@
 //    under ShardedEngine at shard counts {1,2,4} and several thread counts;
 //  - the scraped series themselves are deterministic: identical across
 //    reruns, shard counts, and thread counts (store fingerprint equality);
+//  - in classic mode a gauge that reads the clock reads it at the last
+//    executed event (pinned values for kernel/cpu_load);
 //  - the ring bound evicts oldest-first by folding deltas into the base, so
 //    the retained tail decodes exactly and eviction is deterministic;
 //  - the detectors pin a seeded flapping trunk's carrier-flap episodes
@@ -154,6 +156,7 @@ struct ClassicOutcome {
   std::size_t scrape_series = 0;
   std::uint64_t scrape_points = 0;
   std::uint64_t scrape_fp = 0;
+  std::vector<SeriesPoint> client_cpu_load;
 };
 
 ClassicOutcome run_classic(bool armed) {
@@ -195,6 +198,7 @@ ClassicOutcome run_classic(bool armed) {
     out.scrape_series = scraper->store().series_count();
     out.scrape_points = scraper->store().total_points();
     out.scrape_fp = scraper->store().fingerprint();
+    out.client_cpu_load = scraper->store().points("client/kernel/cpu_load");
   }
   return out;
 }
@@ -220,6 +224,22 @@ TEST(MetricScraper, ClassicScrapeIsRerunDeterministic) {
   EXPECT_EQ(one.scrape_fp, two.scrape_fp);
   EXPECT_EQ(one.scrape_points, two.scrape_points);
   EXPECT_GT(one.scrape_points, 0u);
+}
+
+// A scrape runs between events and leaves the clock alone, so a gauge that
+// reads now() — kernel/cpu_load, through Resource::utilization() — is read
+// at the last executed event's time. Callback-less resource jobs execute no
+// event (Simulator::hold_until), so they do not move that clock either:
+// these values are that rule's, pinned on purpose.
+TEST(MetricScraper, ClassicCpuLoadReadsTheLastEventClock) {
+  const ClassicOutcome out = run_classic(true);
+  const std::vector<SeriesPoint>& load = out.client_cpu_load;
+  ASSERT_EQ(load.size(), 201u);
+  std::int64_t sum = 0;
+  for (const SeriesPoint& p : load) sum += p.value;
+  EXPECT_EQ(sum, 13742);
+  EXPECT_EQ(load[3].at, sim::usec(400));
+  EXPECT_EQ(load[3].value, 36);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -290,6 +291,81 @@ TEST(Resource, UtilizationWindow) {
   s.schedule(usec(100), [] {});
   s.run();
   EXPECT_NEAR(r.utilization(), 0.0, 1e-9);
+}
+
+// A job nobody waits for schedules no event, yet run() still ends at its
+// completion with the busy time and utilization a completion event gave.
+TEST(Resource, CallbacklessJobExecutesNoEvent) {
+  Simulator s;
+  Resource r(s, "cpu");
+  r.mark_window();
+  EXPECT_EQ(r.submit(usec(30)), usec(30));
+  EXPECT_FALSE(s.has_pending());
+  s.run();
+  EXPECT_EQ(s.executed_events(), 0u);
+  EXPECT_EQ(s.now(), usec(30));
+  EXPECT_EQ(r.busy_time(), usec(30));
+  EXPECT_DOUBLE_EQ(r.utilization(), 1.0);
+}
+
+TEST(Resource, RunUntilShortOfIdleWorkStopsAtTheHorizon) {
+  Simulator s;
+  Resource r(s, "cpu");
+  r.mark_window();
+  r.submit(usec(30));
+  s.run_until(usec(10));
+  EXPECT_EQ(s.now(), usec(10));
+  // 20 us of the job lie past `now`: the window is fully busy, not 3x.
+  EXPECT_DOUBLE_EQ(r.utilization(), 1.0);
+  s.run();
+  EXPECT_EQ(s.now(), usec(30));
+  EXPECT_EQ(s.executed_events(), 0u);
+}
+
+// Records every boundary it is advanced through, one per `period`.
+class BoundaryLog : public TimeHook {
+ public:
+  explicit BoundaryLog(SimTime period) : period_(period), due_(period) {}
+  SimTime due() const override { return due_; }
+  void advance(SimTime at) override {
+    seen.push_back(at);
+    due_ += period_;
+  }
+  std::vector<SimTime> seen;
+
+ private:
+  SimTime period_;
+  SimTime due_;
+};
+
+// A drained run() still observes every boundary below the idle horizon, as
+// it did when a completion event marked the job's end; the boundary at the
+// end itself is observed by the next run, as before.
+TEST(Resource, HookSeesEveryBoundaryBelowTheIdleHorizon) {
+  Simulator s;
+  Resource r(s, "cpu");
+  BoundaryLog hook(usec(10));
+  s.set_time_hook(&hook);
+  s.schedule(usec(5), [&] { r.submit(usec(25)); });
+  s.run();
+  EXPECT_EQ(s.now(), usec(30));
+  EXPECT_EQ(hook.seen, (std::vector<SimTime>{usec(10), usec(20)}));
+  s.run_until(usec(45));
+  EXPECT_EQ(hook.seen,
+            (std::vector<SimTime>{usec(10), usec(20), usec(30), usec(40)}));
+}
+
+// A ShardedEngine shard keeps the completion as an (empty) event: the
+// engine starts each window at the earliest pending event.
+TEST(Resource, ShardKeepsTheCompletionEvent) {
+  ShardedEngine engine(1);
+  Resource r(engine.shard(0), "cpu");
+  r.submit(usec(30));
+  EXPECT_TRUE(engine.shard(0).has_pending());
+  EXPECT_EQ(engine.shard(0).next_event_time(), usec(30));
+  engine.run();
+  EXPECT_EQ(engine.executed_events(), 1u);
+  EXPECT_EQ(engine.shard(0).now(), usec(30));
 }
 
 TEST(Resource, SaturatedUtilizationCapsAtOne) {
